@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
+from .grouptree import _is_l_power, _prime_factors
 
 # Class groups are stored fully enumerated; beyond this the reduced-form
 # enumeration itself becomes the bottleneck and callers get a loud error.
@@ -253,19 +254,17 @@ class ClassGroup:
         return [IdealClass(self, i) for i in range(self.order)]
 
     def trivial_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup(self, frozenset([self.principal_index]), (), validate=False)
+        return ClassSubgroup(self, frozenset([self.principal_index]), ())
 
     def full_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup(
-            self, frozenset(range(self.order)), self.structure()[1], validate=False
-        )
+        return ClassSubgroup(self, frozenset(range(self.order)), self.structure()[1])
 
     def structure(self):
         """(invariant_factors, generator_indices) with factors in a chain
         d_{i+1} | d_i, largest first."""
         if self._structure is None:
             self._structure = _abelian_structure(
-                list(range(self.order)),
+                range(self.order),
                 self.compose_idx,
                 self.pow_idx,
                 self.principal_index,
@@ -332,31 +331,27 @@ def _check_same_group(g1: ClassGroup, g2: ClassGroup):
 class ClassSubgroup:
     """A subgroup of a ClassGroup: member index set plus generator indices.
 
-    Constructions that are subgroups by algebra (closures, powers, products)
-    pass validate=False; member sets supplied from outside get the O(|S|^2)
-    closure check."""
+    Every member set is built by `_close`, one coset-closure routine: a power
+    closes the trivial group over the powered generators, a product closes
+    one factor's members over the other's generators, and
+    `subgroup_generate` and W-groups close over their generator classes.  So
+    `generators` always generates `members`, which is what lets `power` and
+    `product` work on generators alone.  A member set supplied from outside
+    (generators=None) is checked by the same routine: the trivial group is
+    closed over the members, the closure must be the set itself, and the
+    members that enlarged it become the generators."""
 
-    def __init__(
-        self,
-        group: ClassGroup,
-        members: frozenset,
-        generators: tuple = (),
-        validate: bool = True,
-    ):
+    def __init__(self, group: ClassGroup, members: frozenset, generators=None):
         self.group = group
         self.members = frozenset(members)
-        self.generators = tuple(generators)
         if group.principal_index not in self.members:
             raise InadmissibleError("subgroup must contain the principal class")
-        if validate:
-            for i in self.members:
-                if group.inverse_idx(i) not in self.members:
-                    raise InadmissibleError("member set not closed under inverse")
-                for j in self.members:
-                    if group.compose_idx(i, j) not in self.members:
-                        raise InadmissibleError(
-                            "member set not closed under composition"
-                        )
+        if generators is None:
+            trivial = [group.principal_index]
+            closed, generators = _close(group.compose_idx, trivial, sorted(self.members))
+            if closed != self.members:
+                raise InadmissibleError("member set is not a subgroup")
+        self.generators = tuple(generators)
 
     # -- queries -------------------------------------------------------------
 
@@ -406,21 +401,14 @@ class ClassSubgroup:
         """Image of the subgroup under x -> x**e (a subgroup again)."""
         if e < 0:
             raise InadmissibleError("subgroup power wants e >= 0")
-        members = frozenset(self.group.pow_idx(i, e) for i in self.members)
-        gens = tuple(sorted({self.group.pow_idx(i, e) for i in self.generators}))
-        return ClassSubgroup(self.group, members, gens, validate=False)
+        gens = sorted({self.group.pow_idx(i, e) for i in self.generators})
+        return _generated(self.group, gens)
 
     def product(self, other: "ClassSubgroup") -> "ClassSubgroup":
         _check_same_group(self.group, other.group)
-        members = frozenset(
-            self.group.compose_idx(i, j) for i in self.members for j in other.members
-        )
-        return ClassSubgroup(
-            self.group,
-            members,
-            tuple(sorted(set(self.generators) | set(other.generators))),
-            validate=False,
-        )
+        members, _ = _close(self.group.compose_idx, self.members, other.generators)
+        gens = sorted(set(self.generators) | set(other.generators))
+        return ClassSubgroup(self.group, members, gens)
 
     def __eq__(self, other):
         return (
@@ -464,21 +452,36 @@ def prime_class(p: int, field: QuadField, conjugate: bool = False) -> IdealClass
 
 def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
     """Smallest subgroup containing the given IdealClass generators."""
-    gen_idx = []
+    gen_idx = set()
     for g in gens:
         _check_same_group(cg, g.group)
-        gen_idx.append(g.index)
-    members = {cg.principal_index}
-    for g in gen_idx:
-        if g in members:
+        gen_idx.add(g.index)
+    return _generated(cg, sorted(gen_idx))
+
+
+def _generated(cg: ClassGroup, gens) -> ClassSubgroup:
+    members, _ = _close(cg.compose_idx, [cg.principal_index], gens)
+    return ClassSubgroup(cg, members, gens)
+
+
+def _close(mul, members, gens):
+    """(closure, grown): the subgroup generated by the subgroup `members` and
+    the generators `gens` under the group law `mul`, and the generators that
+    enlarged it.
+
+    The parent is abelian, so the closure over g is the union of the cosets
+    S*g^k, added one coset at a time until the next one is already in."""
+    out = set(members)
+    grown = []
+    for g in gens:
+        if g in out:
             continue
-        coset = {cg.compose_idx(x, g) for x in members}
-        while not coset <= members:
-            members |= coset
-            coset = {cg.compose_idx(x, g) for x in coset}
-    return ClassSubgroup(
-        cg, frozenset(members), tuple(sorted(set(gen_idx))), validate=False
-    )
+        grown.append(g)
+        coset = {mul(x, g) for x in out}
+        while not coset <= out:
+            out |= coset
+            coset = {mul(x, g) for x in coset}
+    return frozenset(out), grown
 
 
 def subgroup_power(s: ClassSubgroup, e: int) -> ClassSubgroup:
@@ -501,20 +504,6 @@ def subgroup_contains(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
 
 
 # -- abelian structure ---------------------------------------------------------
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _abelian_structure(elems, mul, pow_fn, identity, order_fn):
@@ -548,19 +537,11 @@ def _abelian_structure(elems, mul, pow_fn, identity, order_fn):
         factors.append(d)
         gens.append(g)
 
-    # span must hit every element exactly once
-    span = {identity}
-    for d, g in zip(factors, gens):
-        span = {mul(s, pow_fn(g, k)) for s in span for k in range(d)}
-    if len(span) != h or any(x not in span for x in elems):
+    # the generators must span the group, each element exactly once
+    span, _ = _close(mul, [identity], gens)
+    if prod(factors) != h or len(span) != h or any(x not in span for x in elems):
         raise InternalInvariantError("abelian structure generators do not span")
     return tuple(factors), tuple(gens)
-
-
-def _is_l_power(n: int, l: int) -> bool:
-    while n % l == 0:
-        n //= l
-    return n == 1
 
 
 def _l_group_basis(sylow, l, mul, pow_fn, identity, order_fn):
@@ -588,5 +569,5 @@ def _l_group_basis(sylow, l, mul, pow_fn, identity, order_fn):
         if lifted is None:
             raise InternalInvariantError("no exact-order lift in coset")
         basis.append((best_q, lifted))
-        span = {mul(s, pow_fn(lifted, k)) for s in span for k in range(best_q)}
+        span, _ = _close(mul, span, [lifted])
     return basis

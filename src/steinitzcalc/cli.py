@@ -40,6 +40,13 @@ def _forms_str(forms) -> str:
     return ", ".join(str(f) for f in forms) if forms else "-"
 
 
+def _structure_forms(sub):
+    """(invariant factors, generator forms) of a subgroup, from one
+    `structure()` call."""
+    factors, gens = sub.structure()
+    return factors, [sub.group.forms[i] for i in gens]
+
+
 def _emit(payload: dict, text: str, as_json: bool):
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -72,21 +79,22 @@ def _cmd_wgroup(args) -> int:
     s = cyclotomic.CycloSubgroup(args.modulus, members)
     wg = cyclotomic.w_group(field, args.modulus, s, bound=args.bound)
     sub = wg.subgroup
+    factors, gens = _structure_forms(sub)
     payload = {
         "disc": field.disc,
         "modulus": args.modulus,
         "subgroup": s.sorted_members(),
         "order": sub.order,
         "index": sub.index_in_parent,
-        "invariant_factors": list(sub.invariant_factors),
-        "generators": [list(f.as_tuple()) for f in sub.generator_forms()],
+        "invariant_factors": list(factors),
+        "generators": [list(f.as_tuple()) for f in gens],
         "initial_bound": wg.certificate.initial_bound,
         "stabilized_bound": wg.certificate.final_bound,
     }
     text = (
         f"W: order {sub.order} (index {sub.index_in_parent} in Cl), "
-        f"invariant factors {_structure_label(sub.invariant_factors)}, "
-        f"generators: {_forms_str(sub.generator_forms())}; "
+        f"invariant factors {_structure_label(factors)}, "
+        f"generators: {_forms_str(gens)}; "
         f"stabilized at bound {wg.certificate.final_bound} "
         f"(initial {wg.certificate.initial_bound})"
     )
@@ -165,6 +173,7 @@ def _cmd_rt(args) -> int:
     result = realizable.rt(field, tree, bound=args.bound, dedupe=not args.no_dedupe)
     sub = result.subgroup
     cg = sub.group
+    factors, gens = _structure_forms(sub)
     trace_file = None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -178,8 +187,8 @@ def _cmd_rt(args) -> int:
         },
         "rt": {
             "order": sub.order,
-            "invariant_factors": list(sub.invariant_factors),
-            "generators": [list(f.as_tuple()) for f in sub.generator_forms()],
+            "invariant_factors": list(factors),
+            "generators": [list(f.as_tuple()) for f in gens],
             "index": sub.index_in_parent,
         },
         "trace_file": trace_file,
@@ -189,8 +198,8 @@ def _cmd_rt(args) -> int:
     else:
         text = (
             f"R_t: order {sub.order} of {cg.order} (index {sub.index_in_parent}), "
-            f"invariant factors {_structure_label(sub.invariant_factors)}, "
-            f"generators: {_forms_str(sub.generator_forms())}"
+            f"invariant factors {_structure_label(factors)}, "
+            f"generators: {_forms_str(gens)}"
         )
     if trace_file and not args.json:
         text += f"\ntrace written to {trace_file}"

@@ -7,7 +7,9 @@ fixed field of a subgroup S of that Galois group, is the subgroup of Cl(k)
 generated by classes of degree-1 primes whose Frobenius lands in S; it is
 computed by sieving rational primes and certified by a doubling-window
 stabilization rule (two consecutive quiet windows), since no closed formula
-is available.
+is available.  Each window's new prime classes are absorbed into the member
+set by `classgroup._close`, the coset closure every class subgroup is built
+with, and all of them are kept as the W-group's generators.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, log
 
 from . import _kernels, grouptree
-from .classgroup import ClassGroup, ClassSubgroup, QuadField, class_group
+from .classgroup import ClassSubgroup, QuadField, _close, class_group
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
@@ -251,13 +253,13 @@ def w_group(
             if fresh:
                 new += len(fresh)
                 gens.update(fresh)
-                members = _grow(cg, members, fresh)
+                members, _ = _close(cg.compose_idx, members, fresh)
         return new
 
     windows = []
     if full():  # trivial class group: nothing to enumerate
         cert = WCertificate(bound, 0, (), 0, True)
-        return WGroup(_as_subgroup(cg, members, gens), descriptor, cert)
+        return WGroup(ClassSubgroup(cg, members, sorted(gens)), descriptor, cert)
 
     windows.append((2, bound, scan(2, bound + 1)))
     quiet = 0
@@ -285,22 +287,5 @@ def w_group(
         qualifying_hits=n_qual,
         full_group_early_exit=full() and quiet < 2,
     )
-    return WGroup(_as_subgroup(cg, members, gens), descriptor, cert)
+    return WGroup(ClassSubgroup(cg, members, sorted(gens)), descriptor, cert)
 
-
-def _grow(cg: ClassGroup, members: frozenset, fresh) -> frozenset:
-    """Closure of the subgroup `members` with new generators, coset by coset
-    (the parent is abelian, so the union of cosets S*g^k is the subgroup)."""
-    out = set(members)
-    for g in fresh:
-        if g in out:
-            continue
-        coset = {cg.compose_idx(x, g) for x in out}
-        while not coset <= out:
-            out |= coset
-            coset = {cg.compose_idx(x, g) for x in coset}
-    return frozenset(out)
-
-
-def _as_subgroup(cg: ClassGroup, members: frozenset, gens) -> ClassSubgroup:
-    return ClassSubgroup(cg, members, tuple(sorted(gens)), validate=False)

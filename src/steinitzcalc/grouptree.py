@@ -28,7 +28,13 @@ _FULL_HOM_CHECK_CAP = 512
 _FULL_ASSOC_CAP = 300
 
 
+# -- integer helpers, also used by classgroup, steinitz and realizable ----------
+
+
 def _l_part(n: int, l: int) -> int:
+    """Largest power of l dividing n."""
+    if n < 1:
+        raise InadmissibleError(f"positive integer wanted, got {n}")
     out = 1
     while n % l == 0:
         n //= l
@@ -47,6 +53,10 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_l_power(n: int, l: int) -> bool:
+    return _l_part(n, l) == n
 
 
 # -- abelian groups and their elements ----------------------------------------
@@ -705,12 +715,6 @@ def _order_in_table(table, ident, x) -> int:
         cur = table[cur][x]
         o += 1
     return o
-
-
-def _is_l_power(n, l):
-    while n % l == 0:
-        n //= l
-    return n == 1
 
 
 # -- JSON group-spec files -------------------------------------------------------

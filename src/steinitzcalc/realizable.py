@@ -27,11 +27,12 @@ cross-check oracle for the generic engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import cyclotomic, grouptree
 from .classgroup import ClassSubgroup, QuadField, class_group, prime_class, splitting, Splitting
 from .errors import InadmissibleError, TraceMismatchError
+from .grouptree import _prime_factors
 from .steinitz import membership_exponents, w_exponent
 
 _TRACE_VERSION = 1
@@ -193,40 +194,27 @@ class _Engine:
         for s, exp, count, o in folds:
             wg = self.w(s)
             sub = sub.product(wg.subgroup.power(exp))
-            entries.append(
-                {
-                    "modulus": s.modulus,
-                    "frobenius_subgroup": s.sorted_members(),
-                    "exponent": exp,
-                    "tau_count": count,
-                    "order_tau": o,
-                    "w_generators": [list(f.as_tuple()) for f in _gen_forms(wg.subgroup)],
-                    "initial_bound": wg.certificate.initial_bound,
-                    "stabilized_bound": wg.certificate.final_bound,
-                }
-            )
+            entries.append(_w_entry(s, exp, count, o, wg))
         return sub, entries
 
 
-def _gen_forms(sub: ClassSubgroup):
-    return [sub.group.forms[i] for i in sub.generators]
+def _w_entry(s, exp, tau_count, order_tau, wg) -> dict:
+    """Trace record of one W(k, E)^exp factor folded into a node."""
+    w_sub = wg.subgroup
+    return {
+        "modulus": s.modulus,
+        "frobenius_subgroup": s.sorted_members(),
+        "exponent": exp,
+        "tau_count": tau_count,
+        "order_tau": order_tau,
+        "w_generators": [list(w_sub.group.forms[i].as_tuple()) for i in w_sub.generators],
+        "initial_bound": wg.certificate.initial_bound,
+        "stabilized_bound": wg.certificate.final_bound,
+    }
 
 
 def _forms(sub: ClassSubgroup):
     return [list(f.as_tuple()) for f in sub.member_forms()]
-
-
-def _prime_factors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def rt(field: QuadField, tree: grouptree.GroupTree, bound=None, dedupe=True) -> RtResult:
@@ -265,18 +253,8 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
             exp = (l - 1) * (n // o)
             wg = cyclotomic.w_group(field, o, s, bound=bound)
             sub = sub.product(wg.subgroup.power(exp))
-            entries.append(
-                {
-                    "modulus": o,
-                    "frobenius_subgroup": s.sorted_members(),
-                    "exponent": exp,
-                    "tau_count": _euler_phi(o),
-                    "order_tau": o,
-                    "w_generators": [list(f.as_tuple()) for f in _gen_forms(wg.subgroup)],
-                    "initial_bound": wg.certificate.initial_bound,
-                    "stabilized_bound": wg.certificate.final_bound,
-                }
-            )
+            # tau_count: the phi(o) = o - o/l elements of order o in C(n)
+            entries.append(_w_entry(s, exp, o - o // l, o, wg))
             o *= l
     node = {
         "kind": "dihedral",
@@ -293,13 +271,6 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
         "node": node,
     }
     return RtResult(sub, trace)
-
-
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in _prime_factors(n):
-        out -= out // p
-    return out
 
 
 # -- trace replay ---------------------------------------------------------------

@@ -30,34 +30,7 @@ from .classgroup import (
     splitting,
 )
 from .errors import InadmissibleError, InternalInvariantError
-
-
-def l_part(n: int, l: int) -> int:
-    """Largest power of l dividing n."""
-    if n < 1:
-        raise InadmissibleError(f"positive integer wanted, got {n}")
-    out = 1
-    while n % l == 0:
-        n //= l
-        out *= l
-    return out
-
-
-def _prime_factors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+from .grouptree import _l_part as l_part, _prime_factors
 
 
 def discriminant_exponent(e: int, n: int) -> int:
@@ -151,7 +124,7 @@ def alpha_abelian(h_group) -> int:
 
 
 def _check_l_otau_n(l: int, o_tau: int, n: int):
-    if l % 2 == 0 or not _is_prime(l):
+    if l % 2 == 0 or _prime_factors(l) != [l]:
         raise InadmissibleError(f"l={l} must be an odd prime")
     if o_tau < l or l_part(o_tau, l) != o_tau:
         raise InadmissibleError(f"o(tau)={o_tau} must be a power of l={l} (>= l)")

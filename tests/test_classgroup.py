@@ -5,6 +5,7 @@ delta = (D + sqrt(D))/2 and reduces the product lattice to Hermite normal
 form; it shares no code with the Gauss-composition kernel.
 """
 
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -265,6 +266,80 @@ def test_subgroup_direct_construction_validates():
     with pytest.raises(InadmissibleError):
         sc.ClassSubgroup(cg, frozenset([1, 2]))  # missing the principal class
     assert sc.ClassSubgroup(cg, frozenset([0, 1, 2])).is_full()
+
+
+def _all_subgroups(cg):
+    """Every subgroup of cg generated by at most two classes, by members."""
+    found = {}
+    for i in range(cg.order):
+        for j in range(i, cg.order):
+            s = sc.subgroup_generate(cg, [sc.IdealClass(cg, i), sc.IdealClass(cg, j)])
+            found[s.members] = s
+    return list(found.values())
+
+
+@pytest.mark.parametrize("disc", [-23, -84])
+def test_subgroup_from_member_set_carries_generators(disc):
+    # power and product read generators only; a subgroup built from a bare
+    # member set must come with generators that generate all of it
+    cg = sc.class_group(disc)
+    trivial = cg.trivial_subgroup()
+    subgroups = _all_subgroups(cg)
+    for s in subgroups:
+        outside = sc.ClassSubgroup(cg, s.members)
+        assert outside == s
+        assert outside.power(1) == s
+        assert trivial.product(outside) == s
+        assert outside.product(trivial) == s
+        gens = [sc.IdealClass(cg, i) for i in outside.generators]
+        assert sc.subgroup_generate(cg, gens) == s
+        for t in subgroups:
+            want = {cg.compose_idx(a, b) for a in s.members for b in t.members}
+            assert t.product(outside).members == want
+            assert outside.product(t).members == want
+    if disc == -23:
+        assert sc.ClassSubgroup(cg, frozenset({0, 1, 2})).power(1).order == 3
+    principal = cg.principal_index
+    others = [i for i in range(cg.order) if i != principal]
+    with pytest.raises(InadmissibleError):
+        sc.ClassSubgroup(cg, frozenset(others))  # missing the principal class
+    with pytest.raises(InadmissibleError):
+        # -23: {e, g} with g of order 3; -84: three elements of C2 x C2
+        sc.ClassSubgroup(cg, frozenset([principal] + others[: cg.order - 2]))
+
+
+def _oracle_power(s, e):
+    return {s.group.pow_idx(x, e) for x in s.members}
+
+
+def _oracle_product(s, t):
+    return {s.group.compose_idx(a, b) for a in s.members for b in t.members}
+
+
+@pytest.mark.parametrize("disc", SMALL_DISCS + (-1000019,))
+def test_power_and_product_match_member_definitions(disc):
+    # the member-by-member definitions power and product used to compute
+    cg = sc.class_group(disc)
+    h = cg.order
+    rng = random.Random(disc)
+
+    def random_subgroup(k):
+        return sc.subgroup_generate(
+            cg, [sc.IdealClass(cg, rng.randrange(h)) for _ in range(k)]
+        )
+
+    subgroups = [cg.trivial_subgroup(), cg.full_subgroup()]
+    subgroups += [random_subgroup(k) for k in (1, 1, 2, 3)]
+    proper = [d for d in range(2, h) if h % d == 0]
+    exponents = (0, 1, 2, 3, h, proper[0] if proper else 1)
+    for s in subgroups:
+        for e in exponents:
+            p = s.power(e)
+            assert p.members == _oracle_power(s, e)
+            for t in subgroups:
+                assert p.product(t).members == _oracle_product(p, t)
+        for t in subgroups:
+            assert s.product(t).members == _oracle_product(s, t)
 
 
 def test_subgroup_parent_mismatch():
