@@ -3,9 +3,9 @@
 Computes R_t(k, G) for k = Q or imaginary quadratic and G given as a
 structure tree (abelian leaves, odd-coprime semidirect extensions, direct
 products), together with the supporting machinery: ideal class groups as
-reduced binary quadratic forms, cyclotomic Galois subgroups, W-groups by
-certified prime enumeration, and the discriminant/Steinitz exponent
-calculus.
+reduced binary quadratic forms, cyclotomic Galois subgroups, W-groups from
+the norm character (with certified prime enumeration as their oracle), and
+the discriminant/Steinitz exponent calculus.
 """
 
 from ._kernels import BACKEND
@@ -38,6 +38,7 @@ from .cyclotomic import (
     g_k_mu_tau,
     unit_group,
     w_group,
+    w_norm_character,
 )
 from .errors import (
     EnumerationCeilingError,
@@ -98,7 +99,7 @@ __all__ = [
     # cyclotomic
     "CycloSubgroup", "FixedFieldDescriptor", "WGroup",
     "fixed_field_descriptor", "galois_group", "g_k_mu_tau", "unit_group",
-    "w_group",
+    "w_group", "w_norm_character",
     # errors
     "EnumerationCeilingError", "InadmissibleError", "InternalInvariantError",
     "SteinitzcalcError", "TraceMismatchError",

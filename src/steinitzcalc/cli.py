@@ -3,9 +3,11 @@
 Subcommands: classgroup, wgroup, steinitz, exponents, rt, check.  Output is
 text by default, JSON with --json (stable key order, so identical invocations
 are byte-identical).  Exit codes: 0 ok, 2 inadmissible input, 3 enumeration
-ceiling reached, 4 internal invariant failure.  The environment variable
-STEINITZ_PRIME_CEILING overrides the hard prime-enumeration ceiling;
-STEINITZCALC_PURE=1 forces the pure-Python kernels.
+ceiling reached (wgroup and check only), 4 internal invariant failure.  The
+environment variable STEINITZ_PRIME_CEILING overrides the hard
+prime-enumeration ceiling of the W-group oracle those two run; `rt` computes
+W-groups in closed form and never enumerates primes.  STEINITZCALC_PURE=1
+forces the pure-Python kernels.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _cmd_rt(args) -> int:
     with open(args.group, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     tree = grouptree.tree_from_spec(spec)
-    result = realizable.rt(field, tree, bound=args.bound, dedupe=not args.no_dedupe)
+    result = realizable.rt(field, tree, dedupe=not args.no_dedupe)
     sub = result.subgroup
     cg = sub.group
     factors, gens = _structure_forms(sub)
@@ -424,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rt", help="realizable Steinitz classes of a group tree")
     _add_disc(p)
     p.add_argument("--group", type=str, required=True, help="group spec JSON file")
-    p.add_argument("--bound", type=int, default=None)
     p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", type=str, default=None, help="write trace JSON here")

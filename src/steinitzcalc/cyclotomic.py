@@ -4,12 +4,24 @@ Gal(k(zeta_m)/k) embeds in (Z/mZ)* through its action on zeta_m; over Q it
 is everything, over an imaginary quadratic field it is the kernel of the
 quadratic character when the field sits inside Q(zeta_m).  W(k, E), for E the
 fixed field of a subgroup S of that Galois group, is the subgroup of Cl(k)
-generated by classes of degree-1 primes whose Frobenius lands in S; it is
-computed by sieving rational primes and certified by a doubling-window
-stabilization rule (two consecutive quiet windows), since no closed formula
-is available.  Each window's new prime classes are absorbed into the member
-set by `classgroup._close`, the coset closure every class subgroup is built
-with, and all of them are kept as the W-group's generators.
+generated by classes of degree-1 primes whose Frobenius lands in S.
+
+`w_norm_character` computes it in closed form.  The Frobenius of a degree-1
+prime p not dividing m is N(p) mod m, and by Chebotarev in the ray class
+field mod m every ray class holds degree-1 primes, so
+
+  W(k, E) = { c in Cl(k) : N(c) mod m in S * N_m },
+  N_m     = { N(alpha) mod m : alpha in O_k, gcd(N(alpha), m) = 1 },
+
+where N(c) is any value coprime to m of a form in the class c.  No primes are
+needed; this is the path `rt` uses.
+
+`w_group` computes the same group by sieving rational primes, certified by a
+doubling-window stabilization rule (two consecutive quiet windows).  It is
+kept as the independent oracle the closed form is tested against.  Each
+window's new prime classes are absorbed into the member set by
+`classgroup._close`, the coset closure every class subgroup is built with,
+and the classes that enlarged it are kept as the W-group's generators.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, log
 
 from . import _kernels, grouptree
-from .classgroup import ClassSubgroup, QuadField, _close, class_group
+from .classgroup import ClassSubgroup, QuadField, _close, class_group, principal_form
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
@@ -168,6 +180,58 @@ def g_k_mu_tau(
         ) from exc
 
 
+def _check_target(field: QuadField, m: int, s: CycloSubgroup):
+    """Reject a Frobenius target that is not a subgroup of Gal(k(zeta_m)/k)."""
+    if s.modulus != m:
+        raise InadmissibleError(f"subgroup modulus {s.modulus} != {m}")
+    gal = galois_group(field, m)
+    if not gal.contains(s):
+        raise InadmissibleError(f"{s} is not inside Gal(k(zeta_{m})/k) = {gal}")
+
+
+def _unit_values(a: int, b: int, c: int, m: int):
+    """Values of a x^2 + b xy + c y^2 over (x, y) mod m that are units mod m,
+    reduced mod m (the values mod m depend only on (x, y) mod m)."""
+    for x in range(m):
+        for y in range(m):
+            v = (a * x * x + b * x * y + c * y * y) % m
+            if gcd(v, m) == 1:
+                yield v
+
+
+def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgroup:
+    """W(k, E) for E the fixed field of s, as { c : N(c) mod m in s * N_m }.
+
+    N_m is the group of unit residues mod m of the principal form (the norms
+    of integers coprime to m), and N(c) is a unit value mod m of c's reduced
+    form; it is well defined modulo N_m.  The member set is handed to
+    `ClassSubgroup` without generators, so the coset closure checks that it
+    is a subgroup and picks its generators.
+    """
+    _check_target(field, m, s)
+    cg = class_group(field.disc)
+    if cg.order == 1:  # also Q, whose sentinel form is no norm form
+        return cg.full_subgroup()
+    norms = set(_unit_values(*principal_form(field.disc).as_tuple(), m))
+    target = {a * n % m for a in s.members for n in norms}
+    values = {}
+    members = set()
+    for i, f in enumerate(cg.forms):
+        key = (f.a % m, f.b % m, f.c % m)
+        v = values.get(key)
+        if v is None:
+            # a primitive form always takes a unit value mod m
+            v = values[key] = next(_unit_values(*key, m))
+        if v in target:
+            members.add(i)
+    try:
+        return ClassSubgroup(cg, frozenset(members))
+    except InadmissibleError as exc:
+        raise InternalInvariantError(
+            f"norm-character kernel is not a subgroup: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class WCertificate:
     """Audit record of one W-group enumeration.
@@ -213,11 +277,7 @@ def w_group(
     prime was ever found (a configuration error; qualifying primes have
     positive density) or the subgroup kept growing.
     """
-    if s.modulus != m:
-        raise InadmissibleError(f"subgroup modulus {s.modulus} != {m}")
-    gal = galois_group(field, m)
-    if not gal.contains(s):
-        raise InadmissibleError(f"{s} is not inside Gal(k(zeta_{m})/k) = {gal}")
+    _check_target(field, m, s)
     descriptor = fixed_field_descriptor(s)
 
     cg = class_group(field.disc)
@@ -230,7 +290,8 @@ def w_group(
     if bound > ceiling:
         raise InadmissibleError(f"initial bound {bound} exceeds the ceiling {ceiling}")
 
-    gens: set = set()
+    seen: set = set()  # prime classes met so far
+    gens = []  # those of them that enlarged W
     members = frozenset([cg.principal_index])
     n_qual = 0
 
@@ -249,11 +310,12 @@ def w_group(
                 field.disc, m, s.members, chunk_lo, chunk_hi
             )
             n_qual += len(found)  # distinct forms, enough for the "seen one" rule
-            fresh = {cg._index[t] for t in found} - gens
+            fresh = {cg._index[t] for t in found} - seen
             if fresh:
                 new += len(fresh)
-                gens.update(fresh)
-                members, _ = _close(cg.compose_idx, members, fresh)
+                seen.update(fresh)
+                members, grown = _close(cg.compose_idx, members, sorted(fresh))
+                gens.extend(grown)
         return new
 
     windows = []

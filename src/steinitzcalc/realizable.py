@@ -11,18 +11,21 @@ For the supported trees the recursion is
 
 where E_tau is the fixed field of the exponents of tau realized by the
 action, powers of a subgroup mean images under x -> x^e, and W-groups come
-from `cyclotomic.w_group`.  The engine accepts exactly the tree shapes the
-underlying theorems cover (structural gate): abelian leaves of odd order or
-exactly C(2), semidirect nodes with odd kernel of coprime order, direct
-nodes under the parity rule.
+from the norm character (`cyclotomic.w_norm_character`), with no prime
+enumeration.  The engine accepts exactly the tree shapes the underlying
+theorems cover (structural gate): abelian leaves of odd order or exactly
+C(2), semidirect nodes with odd kernel of coprime order, direct nodes under
+the parity rule.
 
 Every run records a replayable trace: per node, the formula instance, the
-W descriptors with their generators and stabilization bounds, and the
-resulting subgroup.  `rt_trace_replay` re-evaluates a trace bottom-up from
-the recorded generators and raises on any mismatch.
+W descriptors with their generators, and the resulting subgroup.
+`rt_trace_replay` re-evaluates a trace bottom-up from the recorded
+generators and raises on any mismatch; it reads version-1 traces (which
+also carry the prime bounds of the old enumeration) as well.
 
 `rt_dihedral` is a deliberately separate code path for D_n (odd n) used as a
-cross-check oracle for the generic engine.
+cross-check oracle for the generic engine: it takes its W-groups from the
+prime enumeration `cyclotomic.w_group`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import InadmissibleError, TraceMismatchError
 from .grouptree import _prime_factors
 from .steinitz import membership_exponents, w_exponent
 
-_TRACE_VERSION = 1
+_TRACE_VERSION = 2
 
 
 def check_admissible(tree: grouptree.GroupTree):
@@ -64,11 +67,10 @@ def check_admissible(tree: grouptree.GroupTree):
 class RtRequest:
     field: QuadField
     tree: grouptree.GroupTree
-    prime_bound: int = None
     dedupe: bool = True
 
     def run(self) -> "RtResult":
-        return rt(self.field, self.tree, bound=self.prime_bound, dedupe=self.dedupe)
+        return rt(self.field, self.tree, dedupe=self.dedupe)
 
 
 @dataclass
@@ -78,21 +80,20 @@ class RtResult:
 
 
 class _Engine:
-    def __init__(self, field: QuadField, bound=None, dedupe=True):
+    def __init__(self, field: QuadField, dedupe=True):
         self.field = field
         self.cg = class_group(field.disc)
-        self.bound = bound
         self.dedupe = dedupe
         self._memo = {}
         self._wcache = {}
 
     # -- W evaluation --------------------------------------------------------
 
-    def w(self, s: cyclotomic.CycloSubgroup) -> cyclotomic.WGroup:
+    def w(self, s: cyclotomic.CycloSubgroup) -> ClassSubgroup:
         key = cyclotomic.fixed_field_descriptor(s)
         out = self._wcache.get(key)
         if out is None:
-            out = cyclotomic.w_group(self.field, s.modulus, s, bound=self.bound)
+            out = cyclotomic.w_norm_character(self.field, s.modulus, s)
             self._wcache[key] = out
         return out
 
@@ -192,15 +193,14 @@ class _Engine:
         else:
             folds = [[s, exp, 1, o] for s, exp, o in contributions]
         for s, exp, count, o in folds:
-            wg = self.w(s)
-            sub = sub.product(wg.subgroup.power(exp))
-            entries.append(_w_entry(s, exp, count, o, wg))
+            w_sub = self.w(s)
+            sub = sub.product(w_sub.power(exp))
+            entries.append(_w_entry(s, exp, count, o, w_sub))
         return sub, entries
 
 
-def _w_entry(s, exp, tau_count, order_tau, wg) -> dict:
+def _w_entry(s, exp, tau_count, order_tau, w_sub) -> dict:
     """Trace record of one W(k, E)^exp factor folded into a node."""
-    w_sub = wg.subgroup
     return {
         "modulus": s.modulus,
         "frobenius_subgroup": s.sorted_members(),
@@ -208,8 +208,6 @@ def _w_entry(s, exp, tau_count, order_tau, wg) -> dict:
         "tau_count": tau_count,
         "order_tau": order_tau,
         "w_generators": [list(w_sub.group.forms[i].as_tuple()) for i in w_sub.generators],
-        "initial_bound": wg.certificate.initial_bound,
-        "stabilized_bound": wg.certificate.final_bound,
     }
 
 
@@ -217,10 +215,10 @@ def _forms(sub: ClassSubgroup):
     return [list(f.as_tuple()) for f in sub.member_forms()]
 
 
-def rt(field: QuadField, tree: grouptree.GroupTree, bound=None, dedupe=True) -> RtResult:
+def rt(field: QuadField, tree: grouptree.GroupTree, dedupe=True) -> RtResult:
     """R_t(k, G) for an admissible group tree over the given field."""
     check_admissible(tree)
-    engine = _Engine(field, bound=bound, dedupe=dedupe)
+    engine = _Engine(field, dedupe=dedupe)
     sub, node_trace = engine.run(tree)
     trace = {
         "version": _TRACE_VERSION,
@@ -237,7 +235,8 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
 
     Folds Cl(k)^n with W(k, E)^((l-1) n / o) where E is the fixed field of
     {+-1} inside Gal(k(zeta_o)/k), for each prime power o = l, l^2, ...
-    dividing n.  Serves as an independent oracle for `rt` on dihedral trees.
+    dividing n.  Serves as an independent oracle for `rt` on dihedral trees:
+    its W-groups come from prime enumeration, scanned from `bound`.
     """
     if n < 3 or n % 2 == 0:
         raise InadmissibleError(f"dihedral path wants odd n >= 3, got {n}")
@@ -251,10 +250,10 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
             members = frozenset(a for a in gal.members if a % o in {1 % o, (o - 1) % o})
             s = cyclotomic.CycloSubgroup(o, members)
             exp = (l - 1) * (n // o)
-            wg = cyclotomic.w_group(field, o, s, bound=bound)
-            sub = sub.product(wg.subgroup.power(exp))
+            w_sub = cyclotomic.w_group(field, o, s, bound=bound).subgroup
+            sub = sub.product(w_sub.power(exp))
             # tau_count: the phi(o) = o - o/l elements of order o in C(n)
-            entries.append(_w_entry(s, exp, o - o // l, o, wg))
+            entries.append(_w_entry(s, exp, o - o // l, o, w_sub))
             o *= l
     node = {
         "kind": "dihedral",

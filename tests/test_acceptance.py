@@ -12,6 +12,7 @@ import pytest
 import steinitzcalc as sc
 from steinitzcalc import grouptree as gt
 from steinitzcalc import realizable as rz
+from steinitzcalc.cyclotomic import default_initial_bound
 
 from conftest import ACCEPT_DISCS, CROSS_DISCS, corpus_trees, trivial_leaf
 
@@ -40,12 +41,7 @@ def _register_ws(trace):
     def walk(node):
         for w in node.get("w_factors", ()):
             _W_REGISTRY.add(
-                (
-                    trace["disc"],
-                    w["modulus"],
-                    tuple(w["frobenius_subgroup"]),
-                    w["initial_bound"],
-                )
+                (trace["disc"], w["modulus"], tuple(w["frobenius_subgroup"]))
             )
         for key in ("base", "left", "right"):
             if key in node:
@@ -188,12 +184,15 @@ def test_criterion_07_w_stabilization():
         _run_dihedral_oracle()
 
     def run():
-        for disc, modulus, members, bound in sorted(_W_REGISTRY):
+        for disc, modulus, members in sorted(_W_REGISTRY):
             field = sc.QuadField(disc)
             s = sc.CycloSubgroup(modulus, frozenset(members))
+            bound = default_initial_bound(field, modulus)
             base = sc.w_group(field, modulus, s, bound=bound)
             rerun = sc.w_group(field, modulus, s, bound=4 * bound)
             assert base.subgroup == rerun.subgroup, (disc, modulus, members)
+            closed = sc.w_norm_character(field, modulus, s)
+            assert closed == base.subgroup, (disc, modulus, members)
 
     _criterion(
         7,

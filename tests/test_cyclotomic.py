@@ -12,8 +12,11 @@ from steinitzcalc.cyclotomic import (
     g_k_mu_tau,
     unit_group,
     w_group,
+    w_norm_character,
 )
 from steinitzcalc.errors import EnumerationCeilingError, InadmissibleError
+
+from conftest import ACCEPT_DISCS, MIXED_DISCS
 
 Q = sc.QuadField(0)
 K23 = sc.QuadField(-23)
@@ -207,3 +210,55 @@ def test_w_group_ceiling_error():
 def test_default_initial_bound_monotone_cap():
     assert default_initial_bound(K23, 3) >= 100
     assert default_initial_bound(sc.QuadField(-4999), 45) <= 1_000_000
+
+
+# -- w_norm_character: the closed form against the w_group oracle -------------------
+
+DIFF_MODULI = (1, 3, 4, 5, 7, 8, 9, 12, 15, 21, 24)
+# Q, the acceptance and mixed fields, and fields with |D| dividing some modulus
+DIFF_DISCS = tuple(dict.fromkeys(ACCEPT_DISCS + MIXED_DISCS + (0, -15, -20, -24)))
+
+
+def _cyclo_subgroups(gal):
+    """Every subgroup of the unit subgroup `gal`, as member sets."""
+    m = gal.modulus
+
+    def join(h, a):
+        out = set(h)
+        while True:
+            more = {x * a % m for x in out} - out
+            if not more:
+                return frozenset(out)
+            out |= more
+
+    found = {frozenset([1 % m])}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for a in gal.members - h:
+            j = join(h, a)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=sorted)
+
+
+@pytest.mark.parametrize("disc", DIFF_DISCS)
+def test_w_norm_character_matches_enumeration(disc):
+    field = sc.QuadField(disc)
+    for m in DIFF_MODULI:
+        for members in _cyclo_subgroups(galois_group(field, m)):
+            s = CycloSubgroup(m, members)
+            closed = w_norm_character(field, m, s)
+            oracle = w_group(field, m, s).subgroup
+            assert closed.members == oracle.members, (disc, m, sorted(members))
+            assert closed == sc.subgroup_generate(
+                closed.group, [sc.IdealClass(closed.group, i) for i in closed.generators]
+            )
+
+
+def test_w_norm_character_rejects_bad_targets():
+    with pytest.raises(InadmissibleError):
+        w_norm_character(K23, 3, CycloSubgroup(5, frozenset([1])))
+    with pytest.raises(InadmissibleError):
+        w_norm_character(sc.QuadField(-3), 3, unit_group(3))

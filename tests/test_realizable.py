@@ -1,12 +1,15 @@
 """Engine tests: recursion, cross-path consistency, traces, golden values."""
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
 import steinitzcalc as sc
 from steinitzcalc import grouptree as gt
 from steinitzcalc import realizable as rz
+from steinitzcalc.cyclotomic import default_initial_bound
 from steinitzcalc.errors import InadmissibleError, TraceMismatchError
 
 from conftest import (
@@ -20,6 +23,7 @@ Q = sc.QuadField(0)
 K23 = sc.QuadField(-23)
 K84 = sc.QuadField(-84)
 K15 = sc.QuadField(-15)
+DATA = Path(__file__).parent / "data"
 
 
 # -- gate ---------------------------------------------------------------------------
@@ -118,24 +122,12 @@ def test_dedupe_agrees_with_no_dedupe():
 
 
 def test_rt_bound_override_stable():
-    tree = gt.dihedral_tree(9)
-    base = sc.rt(K84, tree)
-    bigger = sc.rt(K84, tree, bound=4 * _min_initial_bound(base.trace))
+    # the closed-form engine against the enumerating D_9 path, scanned from
+    # 4x the largest default initial bound of its moduli 3 and 9
+    base = sc.rt(K84, gt.dihedral_tree(9))
+    bound = 4 * max(default_initial_bound(K84, o) for o in (3, 9))
+    bigger = rz.rt_dihedral(K84, 9, bound=bound)
     assert base.subgroup == bigger.subgroup
-
-
-def _min_initial_bound(trace):
-    bounds = []
-
-    def walk(node):
-        for w in node.get("w_factors", ()):
-            bounds.append(w["initial_bound"])
-        for key in ("base", "left", "right"):
-            if key in node:
-                walk(node[key]["trace"])
-
-    walk(trace["node"])
-    return max(bounds) if bounds else 1000
 
 
 def test_rt_subgroup_closure_on_corpus():
@@ -251,11 +243,26 @@ def test_trace_corrupt_detected():
 
 
 def test_trace_records_stabilization():
+    # version 2: W-groups come from the norm character, so no prime bounds
     res = sc.rt(K84, gt.leaf(3))
+    assert res.trace["version"] == 2
     w = res.trace["node"]["w_factors"][0]
-    assert w["stabilized_bound"] >= w["initial_bound"]
+    assert "initial_bound" not in w and "stabilized_bound" not in w
     assert w["frobenius_subgroup"] == [1]
     assert w["modulus"] == 3
+    assert w["w_generators"] == [[3, 0, 7]]
+
+
+@pytest.mark.parametrize("spec", ["c3", "d3"])
+def test_trace_replay_accepts_version_1(spec):
+    # traces written by the enumerating engine (version 1, with prime bounds)
+    path = DATA / f"trace_v1_{spec}_-84.json"
+    trace = json.loads(path.read_text(encoding="utf-8"))
+    assert trace["version"] == 1
+    assert "initial_bound" in trace["node"]["w_factors"][0]
+    replayed = sc.rt_trace_replay(trace)
+    tree = sc.tree_from_spec(trace["group"])
+    assert replayed == sc.rt(K84, tree).subgroup
 
 
 # -- golden regression values (proper/nontrivial collapses) ---------------------------
