@@ -1,16 +1,18 @@
-"""Pure-Python arithmetic kernels.
+"""Arithmetic kernels.
 
 These are the hot inner loops of the library: prime sieving, Kronecker
-symbols, square roots mod p, binary-quadratic-form reduction/composition and
-the fused "qualifying prime" scan used by the W-group enumeration.  A Cython
-twin (`_speedups.pyx`) implements the same functions with the same contracts;
-`steinitzcalc._kernels` picks one at import time.
+symbols, square roots mod p, binary-quadratic-form reduction, enumeration
+and composition, and the fused "qualifying prime" scan used by the W-group
+enumeration.  They are plain Python; callers reach them through this module's
+attributes (`_kernels.reduced_forms(...)`), so a caller-side wrapper such as a
+profiler can replace one by assignment.
 
 All forms are positive definite: a > 0 and b*b - 4*a*c = D < 0.
 """
 
 from math import gcd, isqrt
 
+# The only backend; `steinitzcalc.BACKEND` and `check` report its name.
 BACKEND = "pure"
 
 
@@ -185,24 +187,42 @@ def prime_form(disc: int, p: int):
 
 
 def reduced_forms(disc: int) -> list:
-    """All reduced primitive forms of discriminant disc (< 0), sorted."""
-    out = []
+    """All reduced primitive forms of discriminant disc, sorted.
+
+    disc < 0 and disc = 0, 1 (mod 4); disc need not be fundamental.  A reduced
+    form has |b| <= a <= c, so a*a <= -disc/3, and a*c = (b*b - disc)/4.  For
+    each b >= 0 of the parity of disc, factor N = (b*b - disc)/4 over the
+    primes up to sqrt(-disc/3) and take the divisors a with b <= a and
+    a*a <= N; (a, -b, c) is reduced too when 0 < b < a < c.  A prime factor
+    of N above that bound divides no admissible a, so the cofactor it leaves
+    is dropped.
+    """
     amax = isqrt(-disc // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - disc) % 2:
-                continue
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append((a, b, c))
+    primes = primes_in_range(2, amax + 1)
+    out = []
+    for b in range(disc % 2, amax + 1, 2):
+        n = (b * b - disc) // 4
+        divisors, m = [1], n
+        for p in primes:
+            if p * p > m:
+                break
+            if m % p == 0:
+                pk, new = 1, []
+                while m % p == 0:
+                    m //= p
+                    pk *= p
+                    new.extend(d * pk for d in divisors)
+                divisors += new
+        if 1 < m <= amax:
+            divisors += [d * m for d in divisors]
+        lo = max(b, 1)
+        for a in divisors:
+            if lo <= a and a * a <= n:
+                c = n // a
+                if gcd(gcd(a, b), c) == 1:
+                    out.append((a, b, c))
+                    if 0 < b < a < c:
+                        out.append((a, -b, c))
     out.sort()
     return out
 

@@ -434,8 +434,11 @@ def prime_class(p: int, field: QuadField, conjugate: bool = False) -> IdealClass
     """Ideal class of a degree-1 prime over p.
 
     The canonical choice takes the smaller nonnegative b with b*b = D mod 4p;
-    `conjugate` selects the other prime above p (the inverse class).
+    `conjugate` selects the other prime above p (the inverse class).  p must
+    be a rational prime.
     """
+    if _prime_factors(p) != [p]:
+        raise InadmissibleError(f"{p} is not a prime")
     if field.is_rationals:
         return class_group(0).identity
     if splitting(p, field) is Splitting.INERT:

@@ -6,8 +6,9 @@ are byte-identical).  Exit codes: 0 ok, 2 inadmissible input, 3 enumeration
 ceiling reached (wgroup and check only), 4 internal invariant failure.  The
 environment variable STEINITZ_PRIME_CEILING overrides the hard
 prime-enumeration ceiling of the W-group oracle those two run; `rt` computes
-W-groups in closed form and never enumerates primes.  STEINITZCALC_PURE=1
-forces the pure-Python kernels.
+W-groups in closed form and never enumerates primes.  The argument parser
+is built once per process, so repeated `main` calls (a benchmark or a batch
+driver answering many queries in-process) do not rebuild it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd, isqrt
 
 from . import cyclotomic, grouptree, realizable
@@ -440,9 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InadmissibleError as exc:

@@ -195,6 +195,11 @@ def test_prime_class_examples():
     assert (ram * ram).is_principal
     with pytest.raises(InadmissibleError):
         sc.prime_class(5, k)  # inert
+    # a split square such as 9 would hang sqrt_mod_prime without the check;
+    # squares run under a timeout in test_cli.py::test_steinitz_non_prime_exit_2
+    for p in (1, 0, 15, 21):
+        with pytest.raises(InadmissibleError, match="not a prime"):
+            sc.prime_class(p, k)
 
 
 def test_prime_class_conjugate_is_inverse():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import steinitzcalc as sc
+from steinitzcalc import cli
 from steinitzcalc.cli import main
 
 
@@ -157,6 +158,35 @@ def test_determinism_byte_identical():
     r2 = subprocess.run(cmd, capture_output=True, text=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("ram", ["25:3", "4:3", "1:3"])
+def test_steinitz_non_prime_exit_2(ram):
+    # a square p has no quadratic non-residue, so Tonelli-Shanks would search
+    # for one forever; the timeout turns such a hang into a failure
+    cmd = [
+        sys.executable, "-m", "steinitzcalc.cli",
+        "steinitz", "--disc", "-23", "--ram", ram, "--order", "3",
+    ]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "is not a prime" in r.stderr
+
+
+def test_parser_built_once(capture, monkeypatch):
+    import importlib.resources as ir
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    spec = str(ir.files("steinitzcalc") / "examples" / "d3.json")
+    argv = ("rt", "--disc", "-84", "--group", spec, "--json")
+    first = capture(*argv)
+    second = capture(*argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert len(built) == 1
 
 
 def test_check_suites(capture):

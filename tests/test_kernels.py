@@ -1,19 +1,14 @@
-"""Kernel-level tests: both backends against independent oracles."""
+"""Kernel-level tests: the arithmetic kernels against independent oracles."""
 
 from math import gcd, isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinitzcalc._kernels import pure
-
-try:
-    from steinitzcalc._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [pure] + ([_speedups] if _speedups is not None else [])
-BACKEND_IDS = ["pure"] + (["speedups"] if _speedups is not None else [])
+from steinitzcalc import _kernels
+from steinitzcalc.classgroup import is_fundamental
+from steinitzcalc.cli import _count_reduced_forms_divisor_oracle
 
 
 def _naive_primes(lo, hi):
@@ -32,7 +27,54 @@ def _legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@pytest.mark.parametrize("k", BACKENDS, ids=BACKEND_IDS)
+def _reduced_forms_scan(disc):
+    """Every (a, b) pair with a <= sqrt(-disc/3): the O(|disc|) definition of
+    the reduced primitive forms, kept as the oracle of `reduced_forms`."""
+    out = []
+    amax = isqrt(-disc // 3)
+    for a in range(1, amax + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - disc) % 2:
+                continue
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            out.append((a, b, c))
+    out.sort()
+    return out
+
+
+def _kronecker_oracle(a, n):
+    """(a|n) from its definition: (a|-1), (a|2) and Euler's criterion over
+    the prime factorisation of n."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = -1 if n < 0 and a < 0 else 1
+    n = abs(n)
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                result *= 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+            else:
+                result *= _legendre(a, p)
+        p += 1 if p == 2 else 2
+    return result
+
+
+# A single parameter whose id is the backend name, so the test ids stay
+# `...[pure]`.
+@pytest.mark.parametrize("k", [_kernels], ids=[_kernels.BACKEND])
 class TestKernels:
     def test_primes_small(self, k):
         assert k.primes_in_range(0, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -139,60 +181,100 @@ class TestKernels:
         assert k.reduce_form(13, 9, 2) in got  # p=13 witness: nonprincipal class
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-class TestBackendParity:
-    def test_primes(self):
-        assert pure.primes_in_range(2, 20000) == _speedups.primes_in_range(2, 20000)
-        assert pure.primes_in_range(10**6, 10**6 + 2000) == _speedups.primes_in_range(
-            10**6, 10**6 + 2000
-        )
+def test_reduced_forms_matches_scan_small():
+    # every discriminant the kernel accepts in (-5000, 0), fundamental or not
+    for disc in range(-3, -5000, -1):
+        if disc % 4 in (0, 1):
+            forms = _kernels.reduced_forms(disc)
+            assert forms == _reduced_forms_scan(disc), disc
+            assert len(forms) == _count_reduced_forms_divisor_oracle(disc), disc
 
-    def test_kronecker(self):
-        for a in range(-60, 60):
-            for n in range(-30, 30):
-                assert pure.kronecker(a, n) == _speedups.kronecker(a, n), (a, n)
 
-    def test_forms(self):
-        # -9999 is a non-maximal-order discriminant; primitive forms still compose
-        for disc in (-23, -47, -71, -84, -15, -420, -9999):
-            assert pure.reduced_forms(disc) == _speedups.reduced_forms(disc)
-            forms = pure.reduced_forms(disc)
-            for f in forms:
-                for g in forms:
-                    assert pure.compose_reduced(*f, *g) == _speedups.compose_reduced(
-                        *f, *g
-                    )
+# -9999 = 9 * -1111 is not fundamental; -420 has 2-rank 3
+@pytest.mark.parametrize("disc", [-420, -9999])
+def test_reduced_forms_matches_scan_named(disc):
+    forms = _kernels.reduced_forms(disc)
+    assert forms == _reduced_forms_scan(disc)
+    assert len(forms) == _count_reduced_forms_divisor_oracle(disc)
 
-    def test_prime_form_and_scan(self):
-        for disc in (-23, -84, -15):
-            for p in _naive_primes(2, 500):
-                assert pure.prime_form(disc, p) == _speedups.prime_form(disc, p)
-            assert pure.scan_w_forms(disc, 5, {1, 4}, 2, 5000) == _speedups.scan_w_forms(
-                disc, 5, {1, 4}, 2, 5000
-            )
 
-    @settings(deadline=None, max_examples=200)
-    @given(
-        a=st.integers(min_value=-(10**9), max_value=10**9),
-        n=st.integers(min_value=-(10**9), max_value=10**9),
+def _large_fundamental_discs(count, seed=6):
+    rng, out = Random(seed), []
+    while len(out) < count:
+        disc = -rng.randrange(10**6, 10**7 + 1)
+        if is_fundamental(disc):
+            out.append(disc)
+    return out
+
+
+@pytest.mark.parametrize("disc", _large_fundamental_discs(5))
+def test_reduced_forms_matches_scan_large(disc):
+    forms = _kernels.reduced_forms(disc)
+    assert forms == _reduced_forms_scan(disc)
+    assert len(forms) == _count_reduced_forms_divisor_oracle(disc)
+
+
+def test_primes_match_trial_division():
+    assert _kernels.primes_in_range(2, 20000) == _naive_primes(2, 20000)
+    assert _kernels.primes_in_range(10**6, 10**6 + 2000) == _naive_primes(
+        10**6, 10**6 + 2000
     )
-    def test_kronecker_random(self, a, n):
-        assert pure.kronecker(a, n) == _speedups.kronecker(a, n)
 
-    @settings(deadline=None, max_examples=100)
-    @given(st.integers(min_value=2, max_value=10**6))
-    def test_sqrt_random(self, p_seed):
-        ps = pure.primes_in_range(p_seed, p_seed + 200)
-        if not ps:
-            return
-        p = ps[0]
-        if p == 2:
-            return
-        for a in range(2, 20):
-            if pure.kronecker(a, p) == 1:
-                r1 = pure.sqrt_mod_prime(a, p)
-                r2 = _speedups.sqrt_mod_prime(a, p)
-                assert (r1 * r1 - a) % p == 0
-                assert (r2 * r2 - a) % p == 0
-                assert r1 == r2
-                break
+
+def test_kronecker_matches_definition():
+    for a in range(-60, 60):
+        for n in range(-30, 30):
+            assert _kernels.kronecker(a, n) == _kronecker_oracle(a, n), (a, n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    a=st.integers(min_value=-(10**9), max_value=10**9),
+    n=st.integers(min_value=-(10**9), max_value=10**9),
+)
+def test_kronecker_random(a, n):
+    assert _kernels.kronecker(a, n) == _kronecker_oracle(a, n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=3, max_value=10**6))
+def test_sqrt_random(p_seed):
+    p = _kernels.primes_in_range(p_seed, p_seed + 200)[0]
+    for a in range(2, 20):
+        if _legendre(a, p) == 1:
+            r = _kernels.sqrt_mod_prime(a, p)
+            assert (r * r - a) % p == 0
+
+
+@pytest.mark.parametrize("disc", [-23, -47, -71, -84, -15, -420, -9999])
+def test_compose_is_a_group_law(disc):
+    # -420 and -9999 are non-fundamental; their primitive forms still form a group
+    forms = _kernels.reduced_forms(disc)
+    index = {f: i for i, f in enumerate(forms)}
+    table = [[index[_kernels.compose_reduced(*f, *g)] for g in forms] for f in forms]
+    every = list(range(len(forms)))
+    for i in every:
+        assert sorted(table[i]) == every  # each row is a permutation
+        for j in every:
+            assert table[i][j] == table[j][i]
+    rng = Random(disc)
+    for _ in range(200):
+        i, j, l = rng.choice(every), rng.choice(every), rng.choice(every)
+        assert table[table[i][j]][l] == table[i][table[j][l]]
+
+
+@pytest.mark.parametrize("disc", [-23, -84, -15])
+def test_prime_form_and_scan(disc):
+    for p in _naive_primes(2, 500):
+        t = _kernels.prime_form(disc, p)
+        if _kronecker_oracle(disc, p) == -1:
+            assert t is None
+            continue
+        a, b, c = t
+        assert a == p and 0 <= b <= p and b * b - 4 * a * c == disc
+    want = set()
+    for p in _naive_primes(2, 5000):
+        t = _kernels.prime_form(disc, p)
+        if 5 % p and p % 5 in (1, 4) and t is not None:
+            want.add(_kernels.reduce_form(*t))
+    assert _kernels.scan_w_forms(disc, 5, {1, 4}, 2, 5000) == want
