@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, prod
+from functools import cached_property, lru_cache
+from itertools import product
+from math import gcd, lcm, prod
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
@@ -144,6 +145,8 @@ class Splitting(enum.Enum):
 
 def splitting(p: int, field: QuadField) -> Splitting:
     """Decomposition type of the rational prime p in the field."""
+    if _prime_factors(p) != [p]:
+        raise InadmissibleError(f"{p} is not a prime")
     if field.is_rationals:
         return Splitting.SPLIT
     if field.disc % p == 0:
@@ -154,9 +157,13 @@ def splitting(p: int, field: QuadField) -> Splitting:
 class ClassGroup:
     """The ideal class group of a QuadField, fully enumerated.
 
-    Elements are indices into the sorted tuple of reduced forms; composition,
-    powers and inverses work on indices.  The invariant-factor structure and
-    matching generators are computed on first use.
+    Elements are indices into the sorted tuple of reduced forms.  The group
+    law on indices goes through a discrete-log table, built on first use
+    with O(h) kernel compositions (`_dlog_table`): each index has coordinates
+    in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
+    arithmetic mod d_i and the order of an element is an lcm.  The
+    invariant-factor structure and matching generators are computed on
+    first use.
     """
 
     def __init__(self, disc: int):
@@ -171,8 +178,6 @@ class ClassGroup:
         self.principal_index = (
             0 if disc == 0 else self._index[principal_form(disc).as_tuple()]
         )
-        self._comp: dict = {}
-        self._inv: dict = {}
         self._structure = None
 
     # -- basic protocol ----------------------------------------------------
@@ -198,48 +203,27 @@ class ClassGroup:
         except KeyError:
             raise InadmissibleError(f"{form} is not a reduced form of disc {self.disc}")
 
+    @cached_property
+    def _dlog(self):
+        """The discrete-log table (coords, codes, lut, moduli, weights) built
+        by `_dlog_table`."""
+        return _dlog_table(self)
+
     def compose_idx(self, i: int, j: int) -> int:
-        if self.disc == 0:
-            return 0
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        out = self._comp.get(key)
-        if out is None:
-            f1, f2 = self.forms[i], self.forms[j]
-            t = _kernels.compose_reduced(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c)
-            out = self._index[t]
-            self._comp[key] = out
-        return out
+        _, codes, lut, _, _ = self._dlog
+        return lut[codes[i] + codes[j]]
 
     def inverse_idx(self, i: int) -> int:
-        if self.disc == 0:
-            return 0
-        out = self._inv.get(i)
-        if out is None:
-            f = self.forms[i]
-            out = self._index[_kernels.reduce_form(f.a, -f.b, f.c)]
-            self._inv[i] = out
-        return out
+        coords, _, lut, moduli, weights = self._dlog
+        return lut[sum([-x % d * w for x, d, w in zip(coords[i], moduli, weights)])]
 
     def pow_idx(self, i: int, e: int) -> int:
-        if e < 0:
-            i, e = self.inverse_idx(i), -e
-        out = self.principal_index
-        base = i
-        while e:
-            if e & 1:
-                out = self.compose_idx(out, base)
-            base = self.compose_idx(base, base)
-            e >>= 1
-        return out
+        coords, _, lut, moduli, weights = self._dlog
+        return lut[sum([x * e % d * w for x, d, w in zip(coords[i], moduli, weights)])]
 
     def order_of_idx(self, i: int) -> int:
-        o = self.order
-        for l in _prime_factors(self.order):
-            while o % l == 0 and self.pow_idx(i, o // l) == self.principal_index:
-                o //= l
-        return o
+        coords, _, _, moduli, _ = self._dlog
+        return lcm(*[d // gcd(x, d) for x, d in zip(coords[i], moduli)])
 
     # -- public element / subgroup API --------------------------------------
 
@@ -279,6 +263,104 @@ class ClassGroup:
     @property
     def generator_forms(self):
         return tuple(self.forms[i] for i in self.structure()[1])
+
+
+def _dlog_table(cg: ClassGroup):
+    """The discrete-log table of `cg`: (coords, codes, lut, moduli, weights).
+
+    coords[i] is the coordinate tuple of index i in Z/moduli[0] + ... +
+    Z/moduli[-1].  codes[i] is sum(c_t * weights[t]) in the mixed radix
+    weights[t + 1] = weights[t] * (2 * moduli[t] - 1), wide enough that the
+    sum of two codes has no carries; lut maps every code whose digits s_t
+    lie in [0, 2 * moduli[t] - 2] to the index at (s_t mod moduli[t]), fewer
+    than 2^k * h entries for k moduli.  So
+    composition is lut[codes[i] + codes[j]], and powers and inverses look up
+    the code of the scaled coordinates.
+
+    The build walks the indices in sorted order; an index g outside the span
+    S of the generators so far becomes the next generator, and the cosets
+    S*g, S*g^2, ... are added one at a time, one kernel composition per new
+    element, each element getting its exponent vector over the generators.
+    The first g^n found in S gives the relation n*e_g = exponents(g^n).  The
+    relations form a lower-triangular k x k matrix R with k <= log2(h); with
+    U*R*V = diag(d) for unimodular U and V, an exponent vector a has
+    coordinates (a*V)_t mod d_t, of which those with d_t > 1 are kept
+    (Cohen, GTM 138, section 2.4)."""
+    forms, index = cg.forms, cg._index
+
+    def compose(i, j):
+        f1, f2 = forms[i], forms[j]
+        return index[_kernels.compose_reduced(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c)]
+
+    exps = {cg.principal_index: ()}  # the span S, principal class first
+    relations = []
+    for g in range(cg.order):
+        if g in exps:
+            continue
+        exps = {x: v + (0,) for x, v in exps.items()}
+        coset, n = list(exps.items()), 0
+        while True:
+            n += 1
+            first = compose(coset[0][0], g)  # g^n
+            if first in exps:
+                relations.append([-c for c in exps[first][:-1]] + [n])
+                break
+            coset = [(first, coset[0][1][:-1] + (n,))] + [
+                (compose(x, g), v[:-1] + (n,)) for x, v in coset[1:]
+            ]
+            exps.update(coset)
+
+    k = len(relations)
+    d, v = _diagonalize([r + [0] * (k - len(r)) for r in relations])
+    keep = [t for t in range(k) if d[t] > 1]
+    moduli = tuple(d[t] for t in keep)
+    coords = [None] * cg.order
+    for x, a in exps.items():
+        a += (0,) * (k - len(a))
+        coords[x] = tuple(sum(a[j] * v[j][t] for j in range(k)) % d[t] for t in keep)
+    at = {c: x for x, c in enumerate(coords)}
+    if len(at) != cg.order or prod(moduli) != cg.order:
+        raise InternalInvariantError(f"discrete-log table of disc {cg.disc} is not a bijection")
+
+    weights = [prod(2 * m - 1 for m in moduli[:t]) for t in range(len(moduli))]
+    codes = [sum([c * w for c, w in zip(cs, weights)]) for cs in coords]
+    # product() varies its last range fastest: list the digits high to low
+    lut = [
+        at[tuple(s % m for s, m in zip(reversed(digits), moduli))]
+        for digits in product(*[range(2 * m - 1) for m in reversed(moduli)])
+    ]
+    return coords, codes, lut, moduli, weights
+
+
+def _diagonalize(rows):
+    """(d, V) with U*rows*V = diag(d), d >= 0, for a nonsingular square
+    integer matrix: unimodular row operations (U, not kept) and column
+    operations (V) clear each pivot's row and column in turn."""
+    a = [list(r) for r in rows]
+    k = len(a)
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+    d = []
+    for t in range(k):
+        while True:
+            # the smallest nonzero entry of the lower-right block becomes the pivot
+            _, i, j = min(
+                (abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, k) if a[i][j]
+            )
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, k):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, k):
+                q = a[t][j] // p
+                for row in a + v:
+                    row[j] -= q * row[t]
+            if not any(a[i][t] for i in range(t + 1, k)) and not any(a[t][t + 1:]):
+                break
+        d.append(abs(a[t][t]))
+    return d, v
 
 
 @lru_cache(maxsize=None)
@@ -437,12 +519,10 @@ def prime_class(p: int, field: QuadField, conjugate: bool = False) -> IdealClass
     `conjugate` selects the other prime above p (the inverse class).  p must
     be a rational prime.
     """
-    if _prime_factors(p) != [p]:
-        raise InadmissibleError(f"{p} is not a prime")
-    if field.is_rationals:
-        return class_group(0).identity
     if splitting(p, field) is Splitting.INERT:
         raise InadmissibleError(f"{p} is inert in {field}; no degree-1 prime above it")
+    if field.is_rationals:
+        return class_group(0).identity
     t = _kernels.prime_form(field.disc, p)
     if t is None:
         raise InternalInvariantError(f"prime_form failed for split/ramified p={p}")

@@ -22,7 +22,7 @@ from math import gcd, isqrt
 from . import cyclotomic, grouptree, realizable
 from . import steinitz as st
 from ._kernels import BACKEND
-from .classgroup import QuadField
+from .classgroup import QuadField, compose
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
@@ -258,6 +258,15 @@ def _suite_classgroup(chk: _Check, field: QuadField):
         for c in range(n)
     )
     chk.ok("classgroup: composition is associative", assoc)
+    chk.ok(
+        "classgroup: composition matches the form kernel on every pair",
+        field.is_rationals
+        or all(
+            cg.compose_idx(i, j) == cg.index_of(compose(cg.forms[i], cg.forms[j]))
+            for i in range(n)
+            for j in range(n)
+        ),
+    )
     chk.ok(
         "classgroup: identity and inverses",
         all(cg.compose_idx(cg.principal_index, i) == i for i in range(n))

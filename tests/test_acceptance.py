@@ -76,6 +76,8 @@ def test_criterion_01_class_group_oracle():
                 assert cg.compose_idx(i, cg.inverse_idx(i)) == e
             for a in range(n):
                 for b in range(n):
+                    kernel = cg.index_of(sc.compose(cg.forms[a], cg.forms[b]))
+                    assert cg.compose_idx(a, b) == kernel
                     for c in range(n):
                         assert cg.compose_idx(cg.compose_idx(a, b), c) == cg.compose_idx(
                             a, cg.compose_idx(b, c)

@@ -11,9 +11,14 @@ from math import gcd, isqrt
 import pytest
 
 import steinitzcalc as sc
+from steinitzcalc.classgroup import _abelian_structure
 from steinitzcalc.errors import InadmissibleError
+from steinitzcalc.grouptree import _prime_factors
+
+from conftest import ACCEPT_DISCS, MIXED_DISCS
 
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -47, -71, -84, -120, -231, -420)
+LADDER_DISCS = (-1000019, -8000003, -9951191)  # h = 342, 702, 5085
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -83,6 +88,54 @@ def ideal_compose_oracle(f1, f2, disc):
     return sc.reduce(sc.QuadForm(a0, b0, num // (4 * a0)))
 
 
+def kernel_compose(cg, i, j):
+    """Index of the Gauss composition of classes i and j, by the form kernel
+    (the class group's discrete-log table is not consulted)."""
+    return cg.index_of(sc.compose(cg.forms[i], cg.forms[j]))
+
+
+def kernel_powers(cg, i):
+    """[i^0, i^1, ..., i^(o-1)] by repeated kernel composition; o is the
+    order of i."""
+    out, x = [cg.principal_index], i
+    while x != cg.principal_index:
+        out.append(x)
+        x = kernel_compose(cg, x, i)
+    return out
+
+
+def kernel_ops(cg):
+    """(mul, pow, order) on indices by kernel composition alone: a
+    composition memo, square-and-multiply for e >= 0, and the per-prime
+    order loop."""
+    memo = {}
+
+    def mul(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in memo:
+            memo[key] = kernel_compose(cg, i, j)
+        return memo[key]
+
+    def pow_(i, e):
+        assert e >= 0
+        out = cg.principal_index
+        while e:
+            if e & 1:
+                out = mul(out, i)
+            i = mul(i, i)
+            e >>= 1
+        return out
+
+    def order(i):
+        o = cg.order
+        for l in _prime_factors(cg.order):
+            while o % l == 0 and pow_(i, o // l) == cg.principal_index:
+                o //= l
+        return o
+
+    return mul, pow_, order
+
+
 # -- construction ------------------------------------------------------------------
 
 
@@ -118,6 +171,9 @@ def test_rationals_sentinel():
     assert (cg.identity * cg.identity).is_principal
     assert cg.identity.inverse() == cg.identity
     assert sc.prime_class(97, sc.QuadField(0)).is_principal
+    assert cg.pow_idx(0, -5) == cg.pow_idx(0, 0) == cg.inverse_idx(0) == 0
+    assert cg.order_of_idx(0) == 1
+    assert cg.structure() == ((), ())
 
 
 # -- reduce / compose ---------------------------------------------------------------
@@ -171,10 +227,44 @@ def test_group_axioms_exhaustive_to_2000():
         for a in range(n):
             for b in range(n):
                 ab = cg.compose_idx(a, b)
+                assert ab == kernel_compose(cg, a, b)
                 assert ab in closed
                 assert ab == cg.compose_idx(b, a)
                 for c in range(n):
                     assert cg.compose_idx(ab, c) == cg.compose_idx(a, cg.compose_idx(b, c))
+
+
+@pytest.mark.parametrize("disc", LADDER_DISCS)
+def test_table_law_matches_kernel_sampled(disc):
+    cg = sc.class_group(disc)
+    rng = random.Random(disc)
+    for _ in range(2000):
+        i, j = rng.randrange(cg.order), rng.randrange(cg.order)
+        assert cg.compose_idx(i, j) == kernel_compose(cg, i, j), (i, j)
+
+
+@pytest.mark.parametrize("disc", SMALL_DISCS + LADDER_DISCS)
+def test_table_pow_inverse_order_match_kernel(disc):
+    cg = sc.class_group(disc)
+    h = cg.order
+    rng = random.Random(disc)
+    elems = range(h) if h <= 100 else [rng.randrange(h) for _ in range(6)]
+    for i in elems:
+        powers = kernel_powers(cg, i)
+        o = len(powers)
+        assert cg.order_of_idx(i) == o
+        assert cg.inverse_idx(i) == powers[-1 % o]
+        for e in (0, 1, 2, 3, o - 1, o, o + 1, -1, -2, -o, h, -h, rng.randrange(-3 * h, 3 * h)):
+            assert cg.pow_idx(i, e) == powers[e % o], (i, e)
+
+
+@pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS[:2])
+def test_structure_matches_kernel_ops(disc):
+    # same selection rule on kernel arithmetic: same factors and generators
+    cg = sc.class_group(disc)
+    mul, pow_, order = kernel_ops(cg)
+    want = _abelian_structure(range(cg.order), mul, pow_, cg.principal_index, order)
+    assert cg.structure() == want
 
 
 # -- splitting and prime classes ------------------------------------------------------
@@ -186,6 +276,13 @@ def test_splitting_examples():
     assert sc.splitting(2, k) is sc.Splitting.SPLIT
     assert sc.splitting(3, sc.QuadField(-4)) is sc.Splitting.INERT
     assert sc.splitting(5, sc.QuadField(0)) is sc.Splitting.SPLIT
+
+
+def test_splitting_rejects_non_primes():
+    for field in (sc.QuadField(-23), sc.QuadField(0)):
+        for p in (0, 1, 4, -3, 15):
+            with pytest.raises(InadmissibleError, match="not a prime"):
+                sc.splitting(p, field)
 
 
 def test_prime_class_examples():

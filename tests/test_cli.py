@@ -194,3 +194,29 @@ def test_check_suites(capture):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_check_classgroup_compares_with_kernel(capture, monkeypatch):
+    # relabelling two classes of C5 that no automorphism swaps gives a law
+    # that still passes the group-axiom checks; only the comparison with
+    # the form kernel notices
+    cg = sc.class_group(-47)
+    a = next(i for i in range(cg.order) if i != cg.principal_index)
+    swap = {a: cg.pow_idx(a, 2), cg.pow_idx(a, 2): a}
+
+    def relabel(x):
+        return swap.get(x, x)
+
+    compose, inverse = sc.ClassGroup.compose_idx, sc.ClassGroup.inverse_idx
+    monkeypatch.setattr(
+        sc.ClassGroup, "compose_idx",
+        lambda self, i, j: relabel(compose(self, relabel(i), relabel(j))),
+    )
+    monkeypatch.setattr(
+        sc.ClassGroup, "inverse_idx", lambda self, i: relabel(inverse(self, relabel(i)))
+    )
+    code, out, _ = capture("check", "--suite", "classgroup", "--disc", "-47")
+    assert code == 4
+    assert "PASS  classgroup: composition is associative" in out
+    assert "PASS  classgroup: identity and inverses" in out
+    assert "FAIL  classgroup: composition matches the form kernel on every pair" in out

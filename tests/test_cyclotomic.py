@@ -1,8 +1,12 @@
 """Galois-subgroup and W-group tests."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import steinitzcalc as sc
+from steinitzcalc import cyclotomic
 from steinitzcalc import grouptree as gt
 from steinitzcalc.cyclotomic import (
     CycloSubgroup,
@@ -15,6 +19,7 @@ from steinitzcalc.cyclotomic import (
     w_norm_character,
 )
 from steinitzcalc.errors import EnumerationCeilingError, InadmissibleError
+from steinitzcalc.grouptree import _prime_factors
 
 from conftest import ACCEPT_DISCS, MIXED_DISCS
 
@@ -262,3 +267,37 @@ def test_w_norm_character_rejects_bad_targets():
         w_norm_character(K23, 3, CycloSubgroup(5, frozenset([1])))
     with pytest.raises(InadmissibleError):
         w_norm_character(sc.QuadField(-3), 3, unit_group(3))
+
+
+# -- genus theory ------------------------------------------------------------------
+
+
+SPECS = Path(__file__).resolve().parent.parent / "rtbench" / "specs"
+GENUS_DISCS = ACCEPT_DISCS + MIXED_DISCS + (-420, -1155, -3315, -5460)
+
+
+def test_rt_w_groups_obey_genus_theory(monkeypatch):
+    # the principal form takes the value x^2, so N_m holds every unit square
+    # mod m: each W(k, E) contains Cl^2, and [Cl : W] divides 2^(mu - 1) for
+    # mu the number of primes dividing D.  The check reads W's members only
+    # and shares no code with either way of computing W.
+    requested = []
+    w_norm = cyclotomic.w_norm_character
+
+    def record(field, m, s):
+        w = w_norm(field, m, s)
+        requested.append(w)
+        return w
+
+    monkeypatch.setattr(cyclotomic, "w_norm_character", record)
+    trees = [gt.tree_from_spec(json.loads(p.read_text())) for p in sorted(SPECS.glob("*.json"))]
+    assert len(trees) == 17
+    for disc in GENUS_DISCS:
+        for tree in trees:
+            sc.rt(sc.QuadField(disc), tree)
+    assert any(w.index_in_parent > 1 for w in requested)
+    for w in requested:
+        cg = w.group
+        assert all(cg.compose_idx(x, x) in w.members for x in range(cg.order)), cg.disc
+        mu = len(_prime_factors(-cg.disc))
+        assert 2 ** (mu - 1) % w.index_in_parent == 0, (cg.disc, w.index_in_parent)

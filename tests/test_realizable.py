@@ -393,3 +393,5 @@ def test_membership_guards():
         rz.membership_check(K23, gt.leaf(3), [(5, 3)])  # inert p
     with pytest.raises(InadmissibleError):
         rz.membership_check(K23, gt.leaf(3), [(2, 4)])  # e does not divide
+    with pytest.raises(InadmissibleError, match="not a prime"):
+        rz.membership_check(K23, gt.leaf(3), [(0, 3)])
