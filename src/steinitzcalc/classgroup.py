@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _is_l_power, _prime_factors
+from .grouptree import _l_part, _prime_factors
 
 # Class groups are stored fully enumerated; beyond this the reduced-form
 # enumeration itself becomes the bottleneck and callers get a loud error.
@@ -163,7 +163,7 @@ class ClassGroup:
     in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
     arithmetic mod d_i and the order of an element is an lcm.  The
     invariant-factor structure and matching generators are computed on
-    first use.
+    first use.  `_w_cache` keeps `cyclotomic.w_norm_character`'s W-groups.
     """
 
     def __init__(self, disc: int):
@@ -179,6 +179,7 @@ class ClassGroup:
             0 if disc == 0 else self._index[principal_form(disc).as_tuple()]
         )
         self._structure = None
+        self._w_cache = {}  # filled by cyclotomic.w_norm_character
 
     # -- basic protocol ----------------------------------------------------
 
@@ -225,6 +226,22 @@ class ClassGroup:
         coords, _, _, moduli, _ = self._dlog
         return lcm(*[d // gcd(x, d) for x, d in zip(coords[i], moduli)])
 
+    @cached_property
+    def _sylows(self):
+        """{l: sorted indices of the Sylow l-subgroup} for the primes l | h:
+        the classes whose coordinate t is a multiple of d_t / l^v_l(d_t)."""
+        _, _, lut, moduli, weights = self._dlog
+        out = {}
+        for l in _prime_factors(self.order):
+            steps = [range(0, d * w, d // _l_part(d, l) * w) for d, w in zip(moduli, weights)]
+            out[l] = sorted(lut[sum(c)] for c in product(*steps))
+        return out
+
+    def _structure_of(self, elems, sylows):
+        return _abelian_structure(
+            elems, sylows, self.compose_idx, self.pow_idx, self.principal_index, self.order_of_idx
+        )
+
     # -- public element / subgroup API --------------------------------------
 
     @property
@@ -247,13 +264,7 @@ class ClassGroup:
         """(invariant_factors, generator_indices) with factors in a chain
         d_{i+1} | d_i, largest first."""
         if self._structure is None:
-            self._structure = _abelian_structure(
-                range(self.order),
-                self.compose_idx,
-                self.pow_idx,
-                self.principal_index,
-                self.order_of_idx,
-            )
+            self._structure = self._structure_of(range(self.order), self._sylows)
         return self._structure
 
     @property
@@ -461,14 +472,14 @@ class ClassSubgroup:
         _check_same_group(self.group, cls.group)
         return cls.index in self.members
 
+    @property
+    def _sylows(self):
+        """The parent's Sylow lists for the primes l | |S|, cut to the members."""
+        members, parent = self.members, self.group._sylows
+        return {l: [x for x in parent[l] if x in members] for l in _prime_factors(self.order)}
+
     def structure(self):
-        return _abelian_structure(
-            self.sorted_members(),
-            self.group.compose_idx,
-            self.group.pow_idx,
-            self.group.principal_index,
-            self.group.order_of_idx,
-        )
+        return self.group._structure_of(self.sorted_members(), self._sylows)
 
     @property
     def invariant_factors(self):
@@ -589,11 +600,13 @@ def subgroup_contains(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
 # -- abelian structure ---------------------------------------------------------
 
 
-def _abelian_structure(elems, mul, pow_fn, identity, order_fn):
+def _abelian_structure(elems, sylows, mul, pow_fn, identity, order_fn):
     """Invariant factors and matching generators of a finite abelian group.
 
-    `elems` lists the member indices; `mul`, `pow_fn`, `order_fn` operate on
-    indices.  Works prime by prime: a basis of each Sylow subgroup is found by
+    `elems` lists the member indices, `sylows[l]` the Sylow l-subgroup's for
+    each prime l | len(elems) (class groups read them off their coordinates:
+    `ClassGroup._sylows`); `mul`, `pow_fn`, `order_fn` operate on indices.
+    Works prime by prime: a basis of each Sylow subgroup is found by
     repeatedly taking an element of maximal order in the quotient by the span
     so far and lifting it through its coset to an element of that exact
     order (such a lift exists because the span is a direct summand at every
@@ -605,8 +618,7 @@ def _abelian_structure(elems, mul, pow_fn, identity, order_fn):
         return (), ()
     per_prime = []  # (l, [(order, generator_index), ...] descending)
     for l in _prime_factors(h):
-        sylow = [x for x in elems if _is_l_power(order_fn(x), l)]
-        per_prime.append((l, _l_group_basis(sylow, l, mul, pow_fn, identity, order_fn)))
+        per_prime.append((l, _l_group_basis(sylows[l], l, mul, pow_fn, identity, order_fn)))
 
     width = max(len(basis) for _, basis in per_prime)
     factors, gens = [], []

@@ -206,12 +206,15 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
     of integers coprime to m), and N(c) is a unit value mod m of c's reduced
     form; it is well defined modulo N_m.  The member set is handed to
     `ClassSubgroup` without generators, so the coset closure checks that it
-    is a subgroup and picks its generators.
+    is a subgroup and picks its generators.  Once s is checked, the result
+    is memoized in the class group's `_w_cache` under the fixed field (m and
+    s's sorted members); `class_group.cache_clear()` drops it with the group.
     """
     _check_target(field, m, s)
     cg = class_group(field.disc)
-    if cg.order == 1:  # also Q, whose sentinel form is no norm form
-        return cg.full_subgroup()
+    fixed_field = fixed_field_descriptor(s)
+    if fixed_field in cg._w_cache:
+        return cg._w_cache[fixed_field]
     norms = set(_unit_values(*principal_form(field.disc).as_tuple(), m))
     target = {a * n % m for a in s.members for n in norms}
     values = {}
@@ -225,11 +228,12 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
         if v in target:
             members.add(i)
     try:
-        return ClassSubgroup(cg, frozenset(members))
+        w = cg._w_cache[fixed_field] = ClassSubgroup(cg, frozenset(members))
     except InadmissibleError as exc:
         raise InternalInvariantError(
             f"norm-character kernel is not a subgroup: {exc}"
         ) from exc
+    return w
 
 
 @dataclass(frozen=True)

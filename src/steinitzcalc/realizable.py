@@ -12,10 +12,10 @@ For the supported trees the recursion is
 where E_tau is the fixed field of the exponents of tau realized by the
 action, powers of a subgroup mean images under x -> x^e, and W-groups come
 from the norm character (`cyclotomic.w_norm_character`), with no prime
-enumeration.  The engine accepts exactly the tree shapes the underlying
-theorems cover (structural gate): abelian leaves of odd order or exactly
-C(2), semidirect nodes with odd kernel of coprime order, direct nodes under
-the parity rule.
+enumeration, kept in the class group until `class_group.cache_clear()`.
+The engine accepts exactly the tree shapes the underlying theorems cover
+(structural gate): abelian leaves of odd order or exactly C(2), semidirect
+nodes with odd kernel of coprime order, direct nodes under the parity rule.
 
 Every run records a replayable trace: per node, the formula instance, the
 W descriptors with their generators, and the resulting subgroup.
@@ -85,17 +85,6 @@ class _Engine:
         self.cg = class_group(field.disc)
         self.dedupe = dedupe
         self._memo = {}
-        self._wcache = {}
-
-    # -- W evaluation --------------------------------------------------------
-
-    def w(self, s: cyclotomic.CycloSubgroup) -> ClassSubgroup:
-        key = cyclotomic.fixed_field_descriptor(s)
-        out = self._wcache.get(key)
-        if out is None:
-            out = cyclotomic.w_norm_character(self.field, s.modulus, s)
-            self._wcache[key] = out
-        return out
 
     # -- recursion -------------------------------------------------------------
 
@@ -193,7 +182,7 @@ class _Engine:
         else:
             folds = [[s, exp, 1, o] for s, exp, o in contributions]
         for s, exp, count, o in folds:
-            w_sub = self.w(s)
+            w_sub = cyclotomic.w_norm_character(self.field, s.modulus, s)
             sub = sub.product(w_sub.power(exp))
             entries.append(_w_entry(s, exp, count, o, w_sub))
         return sub, entries

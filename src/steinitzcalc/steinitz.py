@@ -36,8 +36,8 @@ from .grouptree import _l_part as l_part, _prime_factors
 def discriminant_exponent(e: int, n: int) -> int:
     """(e-1) * n / e: the p-exponent of the discriminant at ramification
     index e in a tame degree-n extension."""
-    if e < 1 or n % e:
-        raise InadmissibleError(f"need e | N with e >= 1, got e={e}, N={n}")
+    if e < 1 or n < 1 or n % e:
+        raise InadmissibleError(f"need e | N with e, N >= 1, got e={e}, N={n}")
     return (e - 1) * (n // e)
 
 
@@ -70,6 +70,8 @@ def steinitz_from_ramification(
     Needs N odd or the caller's assurance (two_sylow_noncyclic) that the
     Galois group's 2-Sylow subgroup is noncyclic; every discriminant exponent
     must then be even, which is re-checked."""
+    if n < 1:
+        raise InadmissibleError(f"degree N = {n} < 1")
     if n % 2 == 0 and not two_sylow_noncyclic:
         raise InadmissibleError(
             "even degree needs a noncyclic 2-Sylow subgroup (pass the flag)"

@@ -3,10 +3,20 @@
 import pytest
 
 from steinitzcalc import grouptree as gt
+from steinitzcalc.grouptree import _is_l_power, _prime_factors
 
 ACCEPT_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -47, -71)
 CROSS_DISCS = (-23, -47, -71)
 MIXED_DISCS = (-84, -15)  # composite discriminants with proper W-groups
+
+
+def sylows_by_order(elems, order_fn):
+    """Oracle for Sylow lists: for each prime l dividing len(elems), the
+    sorted members whose order, by `order_fn`, is a power of l."""
+    return {
+        l: [x for x in sorted(elems) if _is_l_power(order_fn(x), l)]
+        for l in _prime_factors(len(elems))
+    }
 
 
 def c2_leaf():

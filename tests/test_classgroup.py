@@ -15,7 +15,7 @@ from steinitzcalc.classgroup import _abelian_structure
 from steinitzcalc.errors import InadmissibleError
 from steinitzcalc.grouptree import _prime_factors
 
-from conftest import ACCEPT_DISCS, MIXED_DISCS
+from conftest import ACCEPT_DISCS, MIXED_DISCS, sylows_by_order
 
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -47, -71, -84, -120, -231, -420)
 LADDER_DISCS = (-1000019, -8000003, -9951191)  # h = 342, 702, 5085
@@ -263,8 +263,32 @@ def test_structure_matches_kernel_ops(disc):
     # same selection rule on kernel arithmetic: same factors and generators
     cg = sc.class_group(disc)
     mul, pow_, order = kernel_ops(cg)
-    want = _abelian_structure(range(cg.order), mul, pow_, cg.principal_index, order)
+    elems = range(cg.order)
+    sylows = sylows_by_order(elems, order)
+    want = _abelian_structure(elems, sylows, mul, pow_, cg.principal_index, order)
     assert cg.structure() == want
+
+
+SYLOW_DISCS = ACCEPT_DISCS + MIXED_DISCS + (-1000019, -2000003, -8000008, -8000003, -9951191)
+
+
+@pytest.mark.parametrize("disc", SYLOW_DISCS)
+def test_sylow_lists_match_order_filter(disc):
+    # the coordinate Sylow lists against the order filter, on the full group
+    # and on seeded random subgroups built by generate, power and product
+    cg = sc.class_group(disc)
+    h = cg.order
+    assert cg._sylows == sylows_by_order(range(h), cg.order_of_idx)
+    rng = random.Random(disc)
+    subs = [cg.trivial_subgroup(), cg.full_subgroup()]
+    for _ in range(4):
+        gens = [sc.IdealClass(cg, rng.randrange(h)) for _ in range(rng.randint(1, 3))]
+        a = sc.subgroup_generate(cg, gens)
+        e = rng.choice([2, 3, _prime_factors(h)[0] if h > 1 else 1, rng.randrange(1, h + 1)])
+        subs += [a, a.power(e), a.product(subs[-1]), a.power(e).product(subs[1].power(2))]
+    for sub in subs:
+        want = sylows_by_order(sub.members, cg.order_of_idx)
+        assert sub._sylows == want, sub.order
 
 
 # -- splitting and prime classes ------------------------------------------------------

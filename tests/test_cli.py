@@ -160,6 +160,14 @@ def test_determinism_byte_identical():
     assert r1.stdout == r2.stdout
 
 
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_steinitz_degree_below_one_exit_2(capture, order):
+    code, out, err = capture("steinitz", "--disc", "-23", "--ram", "2:3", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert f"degree N = {order} < 1" in err
+
+
 @pytest.mark.parametrize("ram", ["25:3", "4:3", "1:3"])
 def test_steinitz_non_prime_exit_2(ram):
     # a square p has no quadratic non-residue, so Tonelli-Shanks would search

@@ -269,6 +269,34 @@ def test_w_norm_character_rejects_bad_targets():
         w_norm_character(sc.QuadField(-3), 3, unit_group(3))
 
 
+# -- the W cache on the class group -------------------------------------------------
+
+
+def test_w_norm_character_cached_on_class_group():
+    k = sc.QuadField(-1155)
+    s = CycloSubgroup(3, frozenset([1]))
+    first = w_norm_character(k, 3, s)
+    assert w_norm_character(k, 3, CycloSubgroup(3, frozenset([1]))) is first
+    assert first.group._w_cache[fixed_field_descriptor(s)] is first
+    sc.class_group.cache_clear()
+    again = w_norm_character(k, 3, s)
+    assert again is not first and again.group is not first.group
+    assert again.members == first.members and again.generators == first.generators
+
+
+def test_w_norm_character_checks_targets_on_a_warm_cache(monkeypatch):
+    k = sc.QuadField(-3)
+    good, bad = CycloSubgroup(3, frozenset([1])), unit_group(3)
+    w_norm_character(k, 3, good)
+    cg = sc.class_group(-3)
+    # a cached entry under the rejected target must not bypass the check
+    monkeypatch.setitem(cg._w_cache, fixed_field_descriptor(bad), cg.full_subgroup())
+    with pytest.raises(InadmissibleError):
+        w_norm_character(k, 3, bad)
+    with pytest.raises(InadmissibleError):
+        w_norm_character(k, 3, CycloSubgroup(5, frozenset([1])))
+
+
 # -- genus theory ------------------------------------------------------------------
 
 

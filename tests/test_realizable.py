@@ -1,13 +1,16 @@
 """Engine tests: recursion, cross-path consistency, traces, golden values."""
 
 import copy
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import steinitzcalc as sc
 from steinitzcalc import grouptree as gt
+from steinitzcalc import cli
 from steinitzcalc import realizable as rz
 from steinitzcalc.cyclotomic import default_initial_bound
 from steinitzcalc.errors import InadmissibleError, TraceMismatchError
@@ -395,3 +398,41 @@ def test_membership_guards():
         rz.membership_check(K23, gt.leaf(3), [(2, 4)])  # e does not divide
     with pytest.raises(InadmissibleError, match="not a prime"):
         rz.membership_check(K23, gt.leaf(3), [(0, 3)])
+
+
+# -- answers do not depend on what the class group has cached ---------------------
+
+
+SPECS = Path(__file__).resolve().parent.parent / "rtbench" / "specs"
+
+
+def _rt_bytes(spec, disc, trace):
+    """stdout, exit code and trace bytes of `rt --json` and of `rt --trace`."""
+    runs = []
+    for argv in (["--json"], ["--trace", str(trace)]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["rt", "--disc", str(disc), "--group", str(spec)] + argv)
+        runs.append((out.getvalue(), code))
+    return runs, trace.read_bytes()
+
+
+@pytest.mark.parametrize("disc", [-1000019, -5460])
+def test_rt_bytes_independent_of_query_order(disc, tmp_path):
+    # the W-groups and Sylow lists cached on the class group persist across
+    # queries; forward order, reverse order and a cold cache per query must
+    # print and trace the same bytes.  At -1000019 (prime) every W is the
+    # whole class group; at -5460 (five prime factors) many are proper.
+    specs = sorted(SPECS.glob("*.json"))
+    assert len(specs) == 17
+    trace = tmp_path / "trace.json"
+    sc.class_group.cache_clear()
+    forward = {p.name: _rt_bytes(p, disc, trace) for p in specs}
+    sc.class_group.cache_clear()
+    reverse = {p.name: _rt_bytes(p, disc, trace) for p in reversed(specs)}
+    cold = {}
+    for p in specs:
+        sc.class_group.cache_clear()
+        cold[p.name] = _rt_bytes(p, disc, trace)
+    assert forward == reverse == cold
+    assert all(code == 0 for runs, _ in forward.values() for _, code in runs)

@@ -56,6 +56,13 @@ def test_steinitz_from_ramification_examples():
 def test_steinitz_from_ramification_guards():
     with pytest.raises(InadmissibleError):
         sc.steinitz_from_ramification(K23, [], 4)  # even degree without the flag
+    for n in (-3, -1, 0):
+        for ram in ([], [sc.RamificationDatum(2, 3)]):
+            for flag in (False, True):
+                with pytest.raises(InadmissibleError, match="< 1"):
+                    sc.steinitz_from_ramification(K23, ram, n, two_sylow_noncyclic=flag)
+        with pytest.raises(InadmissibleError):
+            sc.discriminant_exponent(3, 3 * n)
     with pytest.raises(InadmissibleError):
         sc.steinitz_from_ramification(K23, [sc.RamificationDatum(5, 3)], 3)  # inert
 

@@ -7,6 +7,8 @@ import pytest
 
 from steinitzcalc.classgroup import _abelian_structure
 
+from conftest import sylows_by_order
+
 
 def _synthetic(factors, seed):
     """A finite abelian group on permuted opaque indices.
@@ -64,7 +66,8 @@ CASES = [
 @pytest.mark.parametrize("seed", [0, 1])
 def test_structure_recovers_invariant_factors(factors, seed):
     elems, mul, pow_fn, ident, order_fn = _synthetic(factors, seed)
-    got, gens = _abelian_structure(sorted(elems), mul, pow_fn, ident, order_fn)
+    sylows = sylows_by_order(elems, order_fn)
+    got, gens = _abelian_structure(sorted(elems), sylows, mul, pow_fn, ident, order_fn)
     assert got == tuple(factors)
     # generator spans are direct: all products distinct
     span = {ident}
@@ -74,4 +77,4 @@ def test_structure_recovers_invariant_factors(factors, seed):
 
 
 def test_structure_trivial():
-    assert _abelian_structure([7], None, None, 7, None) == ((), ())
+    assert _abelian_structure([7], {}, None, None, 7, None) == ((), ())
