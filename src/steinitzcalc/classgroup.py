@@ -161,7 +161,8 @@ class ClassGroup:
     law on indices goes through a discrete-log table, built on first use
     with O(h) kernel compositions (`_dlog_table`): each index has coordinates
     in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
-    arithmetic mod d_i and the order of an element is an lcm.  The
+    arithmetic mod d_i and the order of an element is an lcm.  A subgroup is
+    the lattice of its coordinates (`_lattice`, see ClassSubgroup).  The
     invariant-factor structure and matching generators are computed on
     first use.  `_w_cache` keeps `cyclotomic.w_norm_character`'s W-groups.
     """
@@ -237,10 +238,32 @@ class ClassGroup:
             out[l] = sorted(lut[sum(c)] for c in product(*steps))
         return out
 
-    def _structure_of(self, elems, sylows):
+    def _at(self, vector) -> int:
+        """The index whose coordinates are `vector` taken mod the d_i."""
+        _, _, lut, moduli, weights = self._dlog
+        return lut[sum([x % d * w for x, d, w in zip(vector, moduli, weights)])]
+
+    def _lattice(self, vectors):
+        """The Hermite normal form of the coordinate vectors `vectors`
+        stacked on diag(d_i): the subgroup they generate (see `_hnf`)."""
+        return _hnf(self._dlog[3], vectors)
+
+    def _structure_of(self, order, hnf, sylows):
+        coords = self._dlog[0]
+
+        def spans(gens):
+            return self._lattice([coords[g] for g in gens]) == hnf
+
         return _abelian_structure(
-            elems, sylows, self.compose_idx, self.pow_idx, self.principal_index, self.order_of_idx
+            order, sylows, self.compose_idx, self.pow_idx, self.principal_index,
+            self.order_of_idx, spans,
         )
+
+    @cached_property
+    def _full_hnf(self):
+        """The identity matrix: the lattice of the whole group."""
+        k = len(self._dlog[3])
+        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
     # -- public element / subgroup API --------------------------------------
 
@@ -255,16 +278,16 @@ class ClassGroup:
         return [IdealClass(self, i) for i in range(self.order)]
 
     def trivial_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup(self, frozenset([self.principal_index]), ())
+        return ClassSubgroup._of(self, self._lattice(()))
 
     def full_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup(self, frozenset(range(self.order)), self.structure()[1])
+        return ClassSubgroup._of(self, self._full_hnf, self.structure()[1])
 
     def structure(self):
         """(invariant_factors, generator_indices) with factors in a chain
         d_{i+1} | d_i, largest first."""
         if self._structure is None:
-            self._structure = self._structure_of(range(self.order), self._sylows)
+            self._structure = self._structure_of(self.order, self._full_hnf, self._sylows)
         return self._structure
 
     @property
@@ -422,45 +445,88 @@ def _check_same_group(g1: ClassGroup, g2: ClassGroup):
 
 
 class ClassSubgroup:
-    """A subgroup of a ClassGroup: member index set plus generator indices.
+    """A subgroup of a ClassGroup, stored as a lattice in discrete-log
+    coordinates.
 
-    Every member set is built by `_close`, one coset-closure routine: a power
-    closes the trivial group over the powered generators, a product closes
-    one factor's members over the other's generators, and
-    `subgroup_generate` and W-groups close over their generator classes.  So
-    `generators` always generates `members`, which is what lets `power` and
-    `product` work on generators alone.  A member set supplied from outside
-    (generators=None) is checked by the same routine: the trivial group is
-    closed over the members, the closure must be the set itself, and the
-    members that enlarged it become the generators."""
+    `hnf` is the Hermite normal form of the generators' coordinates stacked
+    on diag(d_1, ..., d_k) (Cohen, GTM 138, sections 2.4.2-2.4.3; `_hnf`):
+    an upper-triangular k x k integer matrix whose diagonal entry h_t
+    divides d_t.  The lattice and the subgroup determine each other, so
+    equality and hashing compare `hnf`, membership reduces a coordinate
+    vector by its rows, the order is the product of the d_t / h_t and the
+    index the product of the h_t.  `power` scales the rows, `product` stacks
+    two lattices and `subgroup_generate` stacks its generators'
+    coordinates: k x k integer work, with k <= log2(h).
 
-    def __init__(self, group: ClassGroup, members: frozenset, generators=None):
-        self.group = group
-        self.members = frozenset(members)
-        if group.principal_index not in self.members:
+    `generators` generate the subgroup: the given classes for
+    `subgroup_generate`, W-groups and member sets from outside, otherwise
+    the classes of the lattice's rows.  `members`, the frozenset of member
+    indices, is enumerated from the lattice on first access; only output
+    that lists members (traces, `check`) reads it.
+
+    `ClassSubgroup(group, members)` takes a member set from outside and
+    proves it is a subgroup: one scan of the sorted members grows the
+    lattice by each member it does not contain yet (`_grow`), those members
+    become the generators, and the set is a subgroup exactly when it has as
+    many members as the lattice and they are the lattice's members."""
+
+    def __init__(self, group: ClassGroup, members):
+        members = frozenset(members)
+        if group.principal_index not in members:
             raise InadmissibleError("subgroup must contain the principal class")
-        if generators is None:
-            trivial = [group.principal_index]
-            closed, generators = _close(group.compose_idx, trivial, sorted(self.members))
-            if closed != self.members:
-                raise InadmissibleError("member set is not a subgroup")
-        self.generators = tuple(generators)
+        hnf, gens = _grow(group, group._lattice(()), sorted(members), len(members))
+        self._set(group, hnf, gens)
+        if self.order != len(members) or self.members != members:
+            raise InadmissibleError("member set is not a subgroup")
+
+    @classmethod
+    def _of(cls, group: ClassGroup, hnf, generators=None) -> "ClassSubgroup":
+        """The subgroup with lattice `hnf`, generated by `generators`."""
+        sub = cls.__new__(cls)
+        sub._set(group, hnf, generators)
+        return sub
+
+    def _set(self, group, hnf, generators):
+        self.group = group
+        self.hnf = hnf
+        if generators is not None:
+            self.generators = tuple(generators)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The sorted classes of the lattice's rows, the identity left out."""
+        rows = {self.group._at(row) for row in self.hnf} - {self.group.principal_index}
+        return tuple(sorted(rows))
 
     # -- queries -------------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return _lattice_order(self.group._dlog[3], self.hnf)
 
     @property
     def index_in_parent(self) -> int:
-        return self.group.order // self.order
+        return prod([row[t] for t, row in enumerate(self.hnf)])
 
     def is_full(self) -> bool:
-        return self.order == self.group.order
+        return self.index_in_parent == 1
 
     def is_trivial(self) -> bool:
         return self.order == 1
+
+    @cached_property
+    def members(self) -> frozenset:
+        """The member indices: the lattice points c_1*row_1 + ... +
+        c_k*row_k with 0 <= c_t < d_t / h_t, one per member."""
+        _, codes, lut, moduli, _ = self.group._dlog
+        points = [0]  # codes of the points so far
+        for t, row in enumerate(self.hnf):
+            step = codes[self.group._at(row)]
+            multiples = [0]
+            for _ in range(moduli[t] // row[t] - 1):
+                multiples.append(codes[lut[multiples[-1] + step]])
+            points = [codes[lut[a + b]] for a in points for b in multiples]
+        return frozenset([lut[a] for a in points])
 
     def sorted_members(self):
         return sorted(self.members)
@@ -470,16 +536,19 @@ class ClassSubgroup:
 
     def contains_class(self, cls: IdealClass) -> bool:
         _check_same_group(self.group, cls.group)
-        return cls.index in self.members
+        return _in_lattice(self.hnf, self.group._dlog[0][cls.index])
 
     @property
     def _sylows(self):
         """The parent's Sylow lists for the primes l | |S|, cut to the members."""
-        members, parent = self.members, self.group._sylows
-        return {l: [x for x in parent[l] if x in members] for l in _prime_factors(self.order)}
+        coords, parent = self.group._dlog[0], self.group._sylows
+        return {
+            l: [x for x in parent[l] if _in_lattice(self.hnf, coords[x])]
+            for l in _prime_factors(self.order)
+        }
 
     def structure(self):
-        return self.group._structure_of(self.sorted_members(), self._sylows)
+        return self.group._structure_of(self.order, self.hnf, self._sylows)
 
     @property
     def invariant_factors(self):
@@ -494,24 +563,22 @@ class ClassSubgroup:
         """Image of the subgroup under x -> x**e (a subgroup again)."""
         if e < 0:
             raise InadmissibleError("subgroup power wants e >= 0")
-        gens = sorted({self.group.pow_idx(i, e) for i in self.generators})
-        return _generated(self.group, gens)
+        scaled = [[e * x for x in row] for row in self.hnf]
+        return ClassSubgroup._of(self.group, self.group._lattice(scaled))
 
     def product(self, other: "ClassSubgroup") -> "ClassSubgroup":
         _check_same_group(self.group, other.group)
-        members, _ = _close(self.group.compose_idx, self.members, other.generators)
-        gens = sorted(set(self.generators) | set(other.generators))
-        return ClassSubgroup(self.group, members, gens)
+        return ClassSubgroup._of(self.group, self.group._lattice(self.hnf + other.hnf))
 
     def __eq__(self, other):
         return (
             isinstance(other, ClassSubgroup)
             and self.group.disc == other.group.disc
-            and self.members == other.members
+            and self.hnf == other.hnf
         )
 
     def __hash__(self):
-        return hash((self.group.disc, self.members))
+        return hash((self.group.disc, self.hnf))
 
     def __repr__(self):
         return (
@@ -550,12 +617,9 @@ def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
     for g in gens:
         _check_same_group(cg, g.group)
         gen_idx.add(g.index)
-    return _generated(cg, sorted(gen_idx))
-
-
-def _generated(cg: ClassGroup, gens) -> ClassSubgroup:
-    members, _ = _close(cg.compose_idx, [cg.principal_index], gens)
-    return ClassSubgroup(cg, members, gens)
+    gen_idx = sorted(gen_idx)
+    coords = cg._dlog[0]
+    return ClassSubgroup._of(cg, cg._lattice([coords[i] for i in gen_idx]), gen_idx)
 
 
 def _close(mul, members, gens):
@@ -564,7 +628,10 @@ def _close(mul, members, gens):
     enlarged it.
 
     The parent is abelian, so the closure over g is the union of the cosets
-    S*g^k, added one coset at a time until the next one is already in."""
+    S*g^k, added one coset at a time until the next one is already in.
+    Class subgroups are lattices (`_hnf`); this closure grows the span in
+    `_l_group_basis` and is the tests' independent oracle for the lattice
+    operations."""
     out = set(members)
     grown = []
     for g in gens:
@@ -576,6 +643,99 @@ def _close(mul, members, gens):
             out |= coset
             coset = {mul(x, g) for x in coset}
     return frozenset(out), grown
+
+
+# -- lattices in discrete-log coordinates --------------------------------------
+
+
+def _xgcd(a: int, b: int):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _hnf(moduli, vectors):
+    """The Hermite normal form of the lattice spanned by the integer
+    `vectors` (of length k = len(moduli)) and the rows of diag(moduli).
+
+    The result is a tuple of k rows: row t is zero before column t, its
+    diagonal entry h_t is a positive divisor of moduli[t], and every entry
+    above a diagonal entry h_j lies in [0, h_j), so equal lattices give equal
+    tuples.  Column by column, the pivot moduli[t]*e_t absorbs each vector's
+    entry in that column by an extended-gcd row operation (unimodular, so
+    the lattice does not change); entries right of the column stay reduced
+    modulo their moduli[j], which the rows moduli[j]*e_j not yet used as
+    pivots allow (Cohen, GTM 138, section 2.4.2)."""
+    k = len(moduli)
+    vecs = [[x % d for x, d in zip(v, moduli)] for v in vectors]
+    rows = []
+    for t, d in enumerate(moduli):
+        pivot = [0] * k
+        pivot[t] = d
+        rest = []
+        for v in vecs:
+            b = v[t]
+            if b:
+                a = pivot[t]
+                g, x, y = _xgcd(a, b)
+                pivot, v = (
+                    [x * p + y * w for p, w in zip(pivot, v)],
+                    [a // g * w - b // g * p for p, w in zip(pivot, v)],
+                )
+                for j in range(t + 1, k):
+                    pivot[j] %= moduli[j]
+                    v[j] %= moduli[j]
+            if any(v[t + 1:]):
+                rest.append(v)
+        vecs = rest
+        rows.append(pivot)
+    for j in range(k):
+        for i in range(j):
+            q = rows[i][j] // rows[j][j]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+def _lattice_order(moduli, hnf) -> int:
+    """The number of classes in the lattice `hnf`: the product of d_t / h_t."""
+    return prod([d // row[t] for t, (d, row) in enumerate(zip(moduli, hnf))])
+
+
+def _in_lattice(hnf, vector) -> bool:
+    """True when the integer `vector` lies in the lattice with Hermite
+    normal form `hnf`: reduce it by the rows in turn."""
+    c = list(vector)
+    for t, row in enumerate(hnf):
+        q, r = divmod(c[t], row[t])
+        if r:
+            return False
+        if q:
+            for j in range(t + 1, len(c)):
+                c[j] -= q * row[j]
+    return True
+
+
+def _grow(cg: ClassGroup, hnf, candidates, stop: int):
+    """(hnf, grown): the lattice `hnf` grown by each index of `candidates`,
+    in order, that it does not contain yet, and the list of those indices.
+    The scan ends once the lattice has `stop` members or more; a candidate
+    met after that is in the lattice or the caller has to reject it."""
+    coords, moduli = cg._dlog[0], cg._dlog[3]
+    grown = []
+    size = _lattice_order(moduli, hnf)
+    for x in candidates:
+        if size >= stop:
+            break
+        if not _in_lattice(hnf, coords[x]):
+            hnf = _hnf(moduli, hnf + (coords[x],))
+            grown.append(x)
+            size = _lattice_order(moduli, hnf)
+    return hnf, grown
 
 
 def subgroup_power(s: ClassSubgroup, e: int) -> ClassSubgroup:
@@ -594,18 +754,21 @@ def subgroup_eq(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
 def subgroup_contains(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
     """True when s1 contains s2."""
     _check_same_group(s1.group, s2.group)
-    return s2.members <= s1.members
+    return all(_in_lattice(s1.hnf, row) for row in s2.hnf)
 
 
 # -- abelian structure ---------------------------------------------------------
 
 
-def _abelian_structure(elems, sylows, mul, pow_fn, identity, order_fn):
-    """Invariant factors and matching generators of a finite abelian group.
+def _abelian_structure(h, sylows, mul, pow_fn, identity, order_fn, spans):
+    """Invariant factors and matching generators of a finite abelian group
+    of order h.
 
-    `elems` lists the member indices, `sylows[l]` the Sylow l-subgroup's for
-    each prime l | len(elems) (class groups read them off their coordinates:
-    `ClassGroup._sylows`); `mul`, `pow_fn`, `order_fn` operate on indices.
+    `sylows[l]` lists the Sylow l-subgroup's member indices for each prime
+    l | h (class groups read them off their coordinates:
+    `ClassGroup._sylows`); `mul`, `pow_fn`, `order_fn` operate on indices,
+    and `spans(gens)` says whether `gens` generate the whole group (for a
+    class subgroup: their lattice is its lattice).
     Works prime by prime: a basis of each Sylow subgroup is found by
     repeatedly taking an element of maximal order in the quotient by the span
     so far and lifting it through its coset to an element of that exact
@@ -613,7 +776,6 @@ def _abelian_structure(elems, sylows, mul, pow_fn, identity, order_fn):
     step).  The per-prime bases are then merged into an invariant-factor
     chain, largest factor first.
     """
-    h = len(elems)
     if h == 1:
         return (), ()
     per_prime = []  # (l, [(order, generator_index), ...] descending)
@@ -633,8 +795,7 @@ def _abelian_structure(elems, sylows, mul, pow_fn, identity, order_fn):
         gens.append(g)
 
     # the generators must span the group, each element exactly once
-    span, _ = _close(mul, [identity], gens)
-    if prod(factors) != h or len(span) != h or any(x not in span for x in elems):
+    if prod(factors) != h or not spans(gens):
         raise InternalInvariantError("abelian structure generators do not span")
     return tuple(factors), tuple(gens)
 

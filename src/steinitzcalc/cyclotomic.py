@@ -19,9 +19,9 @@ needed; this is the path `rt` uses.
 `w_group` computes the same group by sieving rational primes, certified by a
 doubling-window stabilization rule (two consecutive quiet windows).  It is
 kept as the independent oracle the closed form is tested against.  Each
-window's new prime classes are absorbed into the member set by
-`classgroup._close`, the coset closure every class subgroup is built with,
-and the classes that enlarged it are kept as the W-group's generators.
+window's new prime classes, in sorted order, grow the W-group's lattice in
+discrete-log coordinates (`classgroup._grow`), and the classes that
+enlarged it are kept as its generators.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, log
 
 from . import _kernels, grouptree
-from .classgroup import ClassSubgroup, QuadField, _close, class_group, principal_form
+from .classgroup import ClassSubgroup, QuadField, _grow, class_group, principal_form
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
@@ -204,9 +204,9 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
 
     N_m is the group of unit residues mod m of the principal form (the norms
     of integers coprime to m), and N(c) is a unit value mod m of c's reduced
-    form; it is well defined modulo N_m.  The member set is handed to
-    `ClassSubgroup` without generators, so the coset closure checks that it
-    is a subgroup and picks its generators.  Once s is checked, the result
+    form; it is well defined modulo N_m.  `ClassSubgroup` takes the member
+    set, proves it is a subgroup and picks its generators with one sorted
+    scan (the members that enlarge the span).  Once s is checked, the result
     is memoized in the class group's `_w_cache` under the fixed field (m and
     s's sorted members); `class_group.cache_clear()` drops it with the group.
     """
@@ -296,15 +296,15 @@ def w_group(
 
     seen: set = set()  # prime classes met so far
     gens = []  # those of them that enlarged W
-    members = frozenset([cg.principal_index])
+    w = cg.trivial_subgroup()
     n_qual = 0
 
     def full() -> bool:
-        return len(members) == cg.order
+        return w.is_full()
 
     def scan(lo: int, hi: int) -> int:
         """Absorb qualifying primes in [lo, hi); returns # new generators."""
-        nonlocal members, n_qual
+        nonlocal w, n_qual
         new = 0
         for chunk_lo in range(lo, hi, _SCAN_CHUNK):
             if full():
@@ -318,14 +318,15 @@ def w_group(
             if fresh:
                 new += len(fresh)
                 seen.update(fresh)
-                members, grown = _close(cg.compose_idx, members, sorted(fresh))
+                hnf, grown = _grow(cg, w.hnf, sorted(fresh), cg.order)
                 gens.extend(grown)
+                w = ClassSubgroup._of(cg, hnf, sorted(gens))
         return new
 
     windows = []
     if full():  # trivial class group: nothing to enumerate
         cert = WCertificate(bound, 0, (), 0, True)
-        return WGroup(ClassSubgroup(cg, members, sorted(gens)), descriptor, cert)
+        return WGroup(w, descriptor, cert)
 
     windows.append((2, bound, scan(2, bound + 1)))
     quiet = 0
@@ -353,5 +354,5 @@ def w_group(
         qualifying_hits=n_qual,
         full_group_early_exit=full() and quiet < 2,
     )
-    return WGroup(ClassSubgroup(cg, members, sorted(gens)), descriptor, cert)
+    return WGroup(w, descriptor, cert)
 

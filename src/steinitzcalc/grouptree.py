@@ -727,30 +727,66 @@ def tree_from_spec(obj) -> GroupTree:
     {"kind":"semidirect","h":{...abelian...},"g":{...},
      "action":{"on_generators":[{"g_element":[...],"matrix":[[...],...]}]}}
     {"kind":"direct","left":{...},"right":{...}}
+
+    A missing key, a node or entry of the wrong JSON type, or an invariant
+    factor, matrix entry or g_element entry that is not a JSON integer
+    raises InadmissibleError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InadmissibleError("group spec node must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "abelian":
-        return AbelianLeaf(AbelianGroup(tuple(obj["invariant_factors"])))
+        return AbelianLeaf(_spec_abelian(obj))
     if kind == "semidirect":
-        h_obj = obj["h"]
-        if h_obj.get("kind") != "abelian":
+        h_obj = _spec_key(obj, "h", kind)
+        if not isinstance(h_obj, dict) or h_obj.get("kind") != "abelian":
             raise InadmissibleError("semidirect 'h' must be an abelian node")
-        h = AbelianGroup(tuple(h_obj["invariant_factors"]))
-        g_tree = tree_from_spec(obj["g"])
+        h = _spec_abelian(h_obj)
+        g_tree = tree_from_spec(_spec_key(obj, "g", kind))
         try:
             spec_pairs = obj["action"]["on_generators"]
         except (KeyError, TypeError):
             raise InadmissibleError("semidirect needs action.on_generators")
         pairs = []
-        for entry in spec_pairs:
-            g_el = unflatten_element(g_tree, entry["g_element"])
-            pairs.append((g_el, entry["matrix"]))
+        for entry in _spec_list(spec_pairs, "action.on_generators"):
+            if not isinstance(entry, dict):
+                raise InadmissibleError("an action.on_generators entry must be an object")
+            g_el = _spec_ints(_spec_key(entry, "g_element", "action generator"), "g_element")
+            matrix = _spec_list(_spec_key(entry, "matrix", "action generator"), "matrix")
+            rows = [_spec_ints(row, "matrix row") for row in matrix]
+            pairs.append((unflatten_element(g_tree, g_el), rows))
         return semidirect(h, g_tree, pairs)
     if kind == "direct":
-        return Direct(tree_from_spec(obj["left"]), tree_from_spec(obj["right"]))
+        return Direct(
+            tree_from_spec(_spec_key(obj, "left", kind)),
+            tree_from_spec(_spec_key(obj, "right", kind)),
+        )
     raise InadmissibleError(f"unknown group spec kind {kind!r}")
+
+
+def _spec_key(obj: dict, key: str, node: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise InadmissibleError(f"{node} spec node needs {key!r}") from None
+
+
+def _spec_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InadmissibleError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _spec_ints(value, what: str) -> list:
+    """`value` if it is a JSON list of integers (bool, float and str are not)."""
+    if any(type(x) is not int for x in _spec_list(value, what)):
+        raise InadmissibleError(f"{what} must be a list of JSON integers, got {value!r}")
+    return value
+
+
+def _spec_abelian(obj: dict) -> AbelianGroup:
+    factors = _spec_key(obj, "invariant_factors", "abelian")
+    return AbelianGroup(tuple(_spec_ints(factors, "invariant_factors")))
 
 
 def tree_to_spec(tree: GroupTree):

@@ -18,7 +18,9 @@ The engine accepts exactly the tree shapes the underlying theorems cover
 nodes with odd kernel of coprime order, direct nodes under the parity rule.
 
 Every run records a replayable trace: per node, the formula instance, the
-W descriptors with their generators, and the resulting subgroup.
+W descriptors with their generators, and the resulting subgroup.  The run
+keeps each node's subgroup; `RtResult.trace` lists their member forms on
+first access, so a query that writes no trace never enumerates members.
 `rt_trace_replay` re-evaluates a trace bottom-up from the recorded
 generators and raises on any mismatch; it reads version-1 traces (which
 also carry the prime bounds of the old enumeration) as well.
@@ -31,6 +33,7 @@ prime enumeration `cyclotomic.w_group`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cyclotomic, grouptree
 from .classgroup import ClassSubgroup, QuadField, class_group, prime_class, splitting, Splitting
@@ -73,10 +76,31 @@ class RtRequest:
         return rt(self.field, self.tree, dedupe=self.dedupe)
 
 
-@dataclass
 class RtResult:
-    subgroup: ClassSubgroup
-    trace: dict
+    """R_t(k, G) as a ClassSubgroup, with its replayable trace.
+
+    The run records the trace with each node's subgroup where its
+    "members" list goes; `trace` replaces them by the sorted member forms
+    on first access and keeps the result."""
+
+    def __init__(self, subgroup: ClassSubgroup, record: dict):
+        self.subgroup = subgroup
+        self._record = record
+
+    @cached_property
+    def trace(self) -> dict:
+        return _listed(self._record)
+
+
+def _listed(record):
+    """`record` with every ClassSubgroup in it replaced by its member forms."""
+    if isinstance(record, ClassSubgroup):
+        return _forms(record)
+    if isinstance(record, dict):
+        return {key: _listed(value) for key, value in record.items()}
+    if isinstance(record, list):
+        return [_listed(value) for value in record]
+    return record
 
 
 class _Engine:
@@ -110,7 +134,7 @@ class _Engine:
             trace = {
                 "kind": "c2-leaf",
                 "order": 2,
-                "members": _forms(sub),
+                "members": sub,
             }
             return sub, trace
         sub = self.cg.trivial_subgroup()
@@ -120,7 +144,7 @@ class _Engine:
             "order": h.order,
             "invariant_factors": list(h.invariant_factors),
             "w_factors": w_entries,
-            "members": _forms(sub),
+            "members": sub,
         }
         return sub, trace
 
@@ -136,7 +160,7 @@ class _Engine:
             "kernel_order": n,
             "base": {"power": n, "trace": base_trace},
             "w_factors": w_entries,
-            "members": _forms(sub),
+            "members": sub,
         }
         return sub, trace
 
@@ -150,7 +174,7 @@ class _Engine:
             "order": nl * nr,
             "left": {"power": nr, "trace": left_trace},
             "right": {"power": nl, "trace": right_trace},
-            "members": _forms(sub),
+            "members": sub,
         }
         return sub, trace
 
@@ -209,14 +233,14 @@ def rt(field: QuadField, tree: grouptree.GroupTree, dedupe=True) -> RtResult:
     check_admissible(tree)
     engine = _Engine(field, dedupe=dedupe)
     sub, node_trace = engine.run(tree)
-    trace = {
+    record = {
         "version": _TRACE_VERSION,
         "disc": field.disc,
         "group": grouptree.tree_to_spec(tree),
         "dedupe": dedupe,
         "node": node_trace,
     }
-    return RtResult(sub, trace)
+    return RtResult(sub, record)
 
 
 def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
@@ -249,16 +273,16 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
         "order": 2 * n,
         "rotation_order": n,
         "w_factors": entries,
-        "members": _forms(sub),
+        "members": sub,
     }
-    trace = {
+    record = {
         "version": _TRACE_VERSION,
         "disc": field.disc,
         "group": {"kind": "dihedral", "n": n},
         "dedupe": True,
         "node": node,
     }
-    return RtResult(sub, trace)
+    return RtResult(sub, record)
 
 
 # -- trace replay ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc.classgroup import _abelian_structure
+from steinitzcalc.classgroup import _abelian_structure, _close
 from steinitzcalc.errors import InadmissibleError
 from steinitzcalc.grouptree import _prime_factors
 
@@ -265,7 +265,11 @@ def test_structure_matches_kernel_ops(disc):
     mul, pow_, order = kernel_ops(cg)
     elems = range(cg.order)
     sylows = sylows_by_order(elems, order)
-    want = _abelian_structure(elems, sylows, mul, pow_, cg.principal_index, order)
+
+    def spans(gens):
+        return _close(mul, [cg.principal_index], gens)[0] == frozenset(elems)
+
+    want = _abelian_structure(cg.order, sylows, mul, pow_, cg.principal_index, order, spans)
     assert cg.structure() == want
 
 
@@ -466,6 +470,91 @@ def test_power_and_product_match_member_definitions(disc):
                 assert p.product(t).members == _oracle_product(p, t)
         for t in subgroups:
             assert s.product(t).members == _oracle_product(s, t)
+
+
+# -- lattices against the coset closure -----------------------------------------------
+
+LATTICE_DISCS = ACCEPT_DISCS + MIXED_DISCS + (-1000019, -2000003, -8000008, -8000003, -9951191)
+
+
+def _assert_matches_members(cg, s, want, rng):
+    """Order, index, membership and the lattice of `s` against its member
+    set `want` computed by the closure."""
+    h = cg.order
+    assert s.members == want
+    assert s.order == len(want) and s.index_in_parent == h // len(want)
+    assert s.is_full() == (len(want) == h) and s.is_trivial() == (len(want) == 1)
+    probe = range(h) if h <= 800 else [rng.randrange(h) for _ in range(400)]
+    for i in probe:
+        assert s.contains_class(sc.IdealClass(cg, i)) == (i in want), i
+    outside = sc.ClassSubgroup(cg, want)
+    assert outside.hnf == s.hnf and outside == s and hash(outside) == hash(s)
+    # the outside set's generators are the closure's grown list
+    closed, grown = _close(cg.compose_idx, [cg.principal_index], sorted(want))
+    assert closed == want and list(outside.generators) == grown
+
+
+@pytest.mark.parametrize("disc", LATTICE_DISCS)
+def test_lattice_operations_match_closure(disc):
+    cg = sc.class_group(disc)
+    h, e0 = cg.order, cg.principal_index
+    mul = cg.compose_idx
+    rng = random.Random(disc)
+    subs = [(cg.trivial_subgroup(), frozenset([e0])), (cg.full_subgroup(), frozenset(range(h)))]
+    for _ in range(3 if h > 1000 else 5):
+        gens = sorted({rng.randrange(h) for _ in range(rng.randint(1, 3))})
+        s = sc.subgroup_generate(cg, [sc.IdealClass(cg, i) for i in gens])
+        assert s.generators == tuple(gens)
+        subs.append((s, _close(mul, [e0], gens)[0]))
+    exponents = {0, 1, 2, 3, h, h + 1, _prime_factors(h)[0] if h > 1 else 1}
+    for s, want in subs:
+        _assert_matches_members(cg, s, want, rng)
+        for e in exponents:
+            p = s.power(e)
+            powered = sorted({cg.pow_idx(g, e) for g in s.generators})
+            _assert_matches_members(cg, p, _close(mul, [e0], powered)[0], rng)
+        for t, t_want in subs:
+            st = s.product(t)
+            assert st.members == _close(mul, want, t.generators)[0]
+            assert st == t.product(s) and hash(st) == hash(t.product(s))
+            assert sc.subgroup_contains(s, t) == (t_want <= want)
+            assert sc.subgroup_contains(st, s) and sc.subgroup_contains(st, t)
+            assert (s == t) == (want == t_want)
+
+
+@pytest.mark.parametrize("disc", LATTICE_DISCS)
+def test_member_set_that_is_no_subgroup_is_rejected(disc):
+    cg = sc.class_group(disc)
+    h, e0 = cg.order, cg.principal_index
+    rng = random.Random(disc)
+    for _ in range(3):
+        g = rng.randrange(h)
+        want = _close(cg.compose_idx, [e0], [g])[0]
+        candidates = [want - {g}, want | {rng.randrange(h)}]
+        if len(want) < h:
+            candidates.append(want | {next(i for i in range(h) if i not in want)})
+        for members in candidates:
+            if e0 not in members:
+                continue
+            if _close(cg.compose_idx, [e0], sorted(members))[0] == members:
+                assert sc.ClassSubgroup(cg, members).members == members
+            else:
+                with pytest.raises(InadmissibleError, match="not a subgroup"):
+                    sc.ClassSubgroup(cg, members)
+        with pytest.raises(InadmissibleError, match="principal"):
+            sc.ClassSubgroup(cg, want - {e0})
+
+
+@pytest.mark.parametrize("disc", LATTICE_DISCS)
+def test_w_norm_character_generators_are_closure_grown(disc):
+    field, cg = sc.QuadField(disc), sc.class_group(disc)
+    for m in (3, 4, 5, 7, 9):
+        gal = sc.cyclotomic.galois_group(field, m)
+        for s in (sc.cyclotomic.CycloSubgroup(m, frozenset([1])), gal):
+            w = sc.cyclotomic.w_norm_character(field, m, s)
+            closed, grown = _close(cg.compose_idx, [cg.principal_index], sorted(w.members))
+            assert closed == w.members
+            assert list(w.generators) == grown, (m, s)
 
 
 def test_subgroup_parent_mismatch():

@@ -1,13 +1,16 @@
 """CLI tests: outputs, exit codes, determinism, JSON round-trips."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import cli
+from steinitzcalc import classgroup, cli, realizable
 from steinitzcalc.cli import main
 
 
@@ -228,3 +231,68 @@ def test_check_classgroup_compares_with_kernel(capture, monkeypatch):
     assert "PASS  classgroup: composition is associative" in out
     assert "PASS  classgroup: identity and inverses" in out
     assert "FAIL  classgroup: composition matches the form kernel on every pair" in out
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "rtbench" / "specs"
+
+
+def _rt_json_over_specs(disc):
+    for spec in sorted(SPEC_DIR.glob("*.json")):
+        with redirect_stdout(io.StringIO()):
+            assert main(["rt", "--disc", str(disc), "--group", str(spec), "--json"]) == 0
+
+
+def test_untraced_rt_lists_no_member_forms(monkeypatch):
+    _rt_json_over_specs(-1000019)  # warm: class group, structure, W-groups
+    calls = []
+    forms = realizable._forms
+    monkeypatch.setattr(realizable, "_forms", lambda sub: calls.append(sub) or forms(sub))
+    _rt_json_over_specs(-1000019)
+    assert calls == []
+
+
+def test_rt_runs_the_coset_closure_only_for_sylow_bases(monkeypatch):
+    # subgroups are lattices; the closure only grows spans in _l_group_basis
+    close = classgroup._close
+
+    def guarded(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_l_group_basis":
+            raise AssertionError(f"_close called from {caller}")
+        return close(*args)
+
+    monkeypatch.setattr(classgroup, "_close", guarded)
+    _rt_json_over_specs(-8000008)  # cold or warm, whichever state earlier tests left
+    _rt_json_over_specs(-8000008)  # warm
+
+
+MALFORMED_SPECS = {
+    "abelian-without-factors": '{"kind": "abelian"}',
+    "direct-without-right": (
+        '{"kind": "direct", "left": {"kind": "abelian", "invariant_factors": [3]}}'
+    ),
+    "generator-without-matrix": (
+        '{"kind": "semidirect", "h": {"kind": "abelian", "invariant_factors": [3]},'
+        ' "g": {"kind": "abelian", "invariant_factors": [2]},'
+        ' "action": {"on_generators": [{"g_element": [1]}]}}'
+    ),
+    "h-not-a-node": (
+        '{"kind": "semidirect", "h": [3], "g": {"kind": "abelian", "invariant_factors": [2]},'
+        ' "action": {"on_generators": [{"g_element": [1], "matrix": [[-1]]}]}}'
+    ),
+    "factors-as-string": '{"kind": "abelian", "invariant_factors": "3"}',
+    "factor-as-float": '{"kind": "abelian", "invariant_factors": [3.0]}',
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_rt_malformed_group_spec_exit_2(capture, tmp_path, text):
+    path = tmp_path / "spec.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    code, out, err = capture("rt", "--disc", "-23", "--group", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err

@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from steinitzcalc.classgroup import _abelian_structure
+from steinitzcalc.classgroup import _abelian_structure, _close
+from steinitzcalc.errors import InternalInvariantError
 
 from conftest import sylows_by_order
 
@@ -67,7 +68,11 @@ CASES = [
 def test_structure_recovers_invariant_factors(factors, seed):
     elems, mul, pow_fn, ident, order_fn = _synthetic(factors, seed)
     sylows = sylows_by_order(elems, order_fn)
-    got, gens = _abelian_structure(sorted(elems), sylows, mul, pow_fn, ident, order_fn)
+
+    def spans(gens):
+        return _close(mul, [ident], gens)[0] == frozenset(elems)
+
+    got, gens = _abelian_structure(len(elems), sylows, mul, pow_fn, ident, order_fn, spans)
     assert got == tuple(factors)
     # generator spans are direct: all products distinct
     span = {ident}
@@ -77,4 +82,11 @@ def test_structure_recovers_invariant_factors(factors, seed):
 
 
 def test_structure_trivial():
-    assert _abelian_structure([7], {}, None, None, 7, None) == ((), ())
+    assert _abelian_structure(1, {}, None, None, 7, None, None) == ((), ())
+
+
+def test_structure_rejects_generators_that_do_not_span():
+    elems, mul, pow_fn, ident, order_fn = _synthetic((4, 2), 0)
+    sylows = sylows_by_order(elems, order_fn)
+    with pytest.raises(InternalInvariantError, match="do not span"):
+        _abelian_structure(len(elems), sylows, mul, pow_fn, ident, order_fn, lambda gens: False)
