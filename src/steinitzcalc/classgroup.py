@@ -36,8 +36,12 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
 def is_fundamental(disc: int) -> bool:
-    """True if disc is the discriminant of an imaginary quadratic field."""
+    """True if disc is the discriminant of an imaginary quadratic field.
+
+    Cached: a process that builds a `QuadField` per query proves each
+    discriminant fundamental (trial division up to sqrt|D|) once."""
     if disc >= 0:
         return False
     if disc % 4 == 1:

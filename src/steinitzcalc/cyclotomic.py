@@ -2,9 +2,14 @@
 
 Gal(k(zeta_m)/k) embeds in (Z/mZ)* through its action on zeta_m; over Q it
 is everything, over an imaginary quadratic field it is the kernel of the
-quadratic character when the field sits inside Q(zeta_m).  W(k, E), for E the
-fixed field of a subgroup S of that Galois group, is the subgroup of Cl(k)
-generated by classes of degree-1 primes whose Frobenius lands in S.
+quadratic character when the field sits inside Q(zeta_m).  Unit groups, those
+kernels and the exponent sets an action realizes on a kernel element are
+cached (bounded, keyed by modulus, discriminant and group-tree parts), so
+`g_k_mu_tau` derives the field-independent part of a W target once.
+
+W(k, E), for E the fixed field of a subgroup S of that Galois group, is the
+subgroup of Cl(k) generated by classes of degree-1 primes whose Frobenius
+lands in S.
 
 `w_norm_character` computes it in closed form.  The Frobenius of a degree-1
 prime p not dividing m is N(p) mod m, and by Chebotarev in the ray class
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, log
 
 from . import _kernels, grouptree
@@ -41,6 +47,10 @@ from .errors import (
 DEFAULT_HARD_CEILING = 100_000_000
 INITIAL_BOUND_CAP = 1_000_000
 _SCAN_CHUNK = 1 << 16
+# Bounds of the per-modulus and per-tau caches (unit groups, Kronecker
+# kernels, realized exponents): far above what one corpus of trees meets.
+_MODULUS_CACHE_SIZE = 256
+_TAU_CACHE_SIZE = 1024
 
 
 def hard_ceiling() -> int:
@@ -112,10 +122,19 @@ def fixed_field_descriptor(s: CycloSubgroup) -> FixedFieldDescriptor:
     return FixedFieldDescriptor(s.modulus, tuple(s.sorted_members()))
 
 
+@lru_cache(maxsize=_MODULUS_CACHE_SIZE)
 def unit_group(m: int) -> CycloSubgroup:
+    """(Z/mZ)*, built (and closure-checked) once per modulus."""
     if m == 1:
         return CycloSubgroup(1, frozenset([0]))
     return CycloSubgroup(m, frozenset(a for a in range(1, m + 1) if gcd(a, m) == 1))
+
+
+@lru_cache(maxsize=_MODULUS_CACHE_SIZE)
+def _kronecker_kernel(disc: int, m: int) -> CycloSubgroup:
+    """{ a in (Z/mZ)* : kronecker(disc, a) = 1 }, built once per (disc, m)."""
+    kept = frozenset(a for a in unit_group(m).members if _kernels.kronecker(disc, a) == 1)
+    return CycloSubgroup(m, kept)
 
 
 def galois_group(field: QuadField, m: int) -> CycloSubgroup:
@@ -123,19 +142,43 @@ def galois_group(field: QuadField, m: int) -> CycloSubgroup:
 
     Over Q this is the full unit group.  Over the field of discriminant D it
     is the kernel of the character a -> kronecker(D, a) when |D| divides m
-    (i.e. k lies in Q(zeta_m)), and the full unit group otherwise.
+    (i.e. k lies in Q(zeta_m)), and the full unit group otherwise.  Both are
+    cached lookups, so equal Galois groups are the same object.
     """
     if m < 1:
         raise InadmissibleError(f"modulus {m} < 1")
-    full = unit_group(m)
-    if field.is_rationals or m == 1:
-        return full
-    if m % (-field.disc):
-        return full
-    kept = frozenset(
-        a for a in full.members if _kernels.kronecker(field.disc, a) == 1
-    )
-    return CycloSubgroup(m, kept)
+    if field.is_rationals or m == 1 or m % (-field.disc):
+        return unit_group(m)
+    return _kronecker_kernel(field.disc, m)
+
+
+@lru_cache(maxsize=_TAU_CACHE_SIZE)
+def _realized_exponents(
+    g_tree: grouptree.GroupTree, mu: grouptree.Action, tau: grouptree.AbElement
+):
+    """(o(tau), { a mod o(tau) : mu(g1)(tau) = tau^a for some g1 }).
+
+    The field-independent part of `g_k_mu_tau`, with all of its checks: a
+    call that raises is not cached, so it raises again on a warm cache."""
+    h = mu.h
+    o = h.element_order(tau)
+    if o == 1:
+        raise InadmissibleError("tau must not be the identity")
+    if mu.g_tree != g_tree:
+        raise InadmissibleError("action does not belong to the given acting tree")
+    if grouptree.order(g_tree) > grouptree.ENUMERATION_CAP:
+        raise InadmissibleError("acting group exceeds the enumeration cap")
+    powers = {}
+    cur = h.identity
+    for a in range(o):
+        powers.setdefault(cur, a)
+        cur = h.add(cur, tau)
+    realized = set()
+    for g_el in grouptree.elements(g_tree):
+        a = powers.get(mu.apply(g_el, tau))
+        if a is not None:
+            realized.add(a)
+    return o, frozenset(realized)
 
 
 def g_k_mu_tau(
@@ -146,32 +189,14 @@ def g_k_mu_tau(
 ) -> CycloSubgroup:
     """Exponents a in Gal(k(zeta_o)/k) realized by the action on tau.
 
-    Collects { a : mu(g1)(tau) = tau^a for some g1 }.  This is a subgroup
-    whenever mu is an action (closure under products and inverses holds by
-    the same calculation that proves it abstractly); failure of that check
-    here is an internal error, not bad input.
+    Collects { a : mu(g1)(tau) = tau^a for some g1 } (once per (g_tree, mu,
+    tau), in `_realized_exponents`) and intersects it with the Galois group.
+    This is a subgroup whenever mu is an action (closure under products and
+    inverses holds by the same calculation that proves it abstractly);
+    failure of that check here is an internal error, not bad input.
     """
-    h = mu.h
-    o = h.element_order(tau)
-    if o == 1:
-        raise InadmissibleError("tau must not be the identity")
-    if mu.g_tree != g_tree:
-        raise InadmissibleError("action does not belong to the given acting tree")
-    if grouptree.order(g_tree) > grouptree.ENUMERATION_CAP:
-        raise InadmissibleError("acting group exceeds the enumeration cap")
-    gal = galois_group(field, o)
-    powers = {}
-    cur = h.identity
-    for a in range(o):
-        powers.setdefault(cur, a)
-        cur = h.add(cur, tau)
-    realized = set()
-    for g_el in grouptree.elements(g_tree):
-        img = mu.apply(g_el, tau)
-        a = powers.get(img)
-        if a is not None:
-            realized.add(a % o)
-    members = frozenset(a for a in gal.members if (a % o if o > 1 else 0) in realized)
+    o, realized = _realized_exponents(g_tree, mu, tau)
+    members = galois_group(field, o).members & realized
     try:
         return CycloSubgroup(o, members)
     except InadmissibleError as exc:

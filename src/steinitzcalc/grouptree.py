@@ -220,6 +220,8 @@ class Action:
         self.g_tree = g_tree
         self._table = table
         self._items = tuple(sorted(table.items(), key=lambda kv: str(kv[0])))
+        # the table is immutable: hash it once, not on every cache lookup
+        self._hash = hash((h, g_tree, self._items))
 
     def matrix(self, g_el):
         try:
@@ -244,7 +246,7 @@ class Action:
         )
 
     def __hash__(self):
-        return hash((self.h, self.g_tree, self._items))
+        return self._hash
 
 
 def trivial_action(h: AbelianGroup, g_tree: "GroupTree") -> Action:

@@ -13,6 +13,11 @@ where E_tau is the fixed field of the exponents of tau realized by the
 action, powers of a subgroup mean images under x -> x^e, and W-groups come
 from the norm character (`cyclotomic.w_norm_character`), with no prime
 enumeration, kept in the class group until `class_group.cache_clear()`.
+A node's W targets (the tau list with its exponents, each tau's Frobenius
+subgroup from `cyclotomic.g_k_mu_tau`, the dedupe grouping) depend on the
+field only through the Galois groups of the moduli o(tau); they are derived
+once per (node, dedupe, Galois groups) and kept in bounded module-level
+caches that hold no class group (`clear_caches` empties them).
 The engine accepts exactly the tree shapes the underlying theorems cover
 (structural gate): abelian leaves of odd order or exactly C(2), semidirect
 nodes with odd kernel of coprime order, direct nodes under the parity rule.
@@ -32,8 +37,9 @@ prime enumeration `cyclotomic.w_group`.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import cyclotomic, grouptree
 from .classgroup import ClassSubgroup, QuadField, class_group, prime_class, splitting, Splitting
@@ -180,36 +186,82 @@ class _Engine:
 
     def _apply_w_product(self, sub, h, g_tree, mu, m):
         """Fold the W(k, E_tau)^exp factors over tau in H(l)\\{1} into sub."""
-        n = h.order
-        contributions = []  # (CycloSubgroup, exponent, o_tau)
-        for l in _prime_factors(n):
-            for tau in h.sylow_part(l):
-                o = h.element_order(tau)
-                if o == 1:
-                    continue
-                if g_tree is None:
-                    s = cyclotomic.CycloSubgroup(o, frozenset([1 % o]))
-                else:
-                    s = cyclotomic.g_k_mu_tau(self.field, g_tree, mu, tau)
-                contributions.append((s, w_exponent(l, o, m, n), o))
-
         entries = []
-        if self.dedupe:
-            grouped = {}
-            for s, exp, o in contributions:
-                key = (cyclotomic.fixed_field_descriptor(s), exp)
-                if key in grouped:
-                    grouped[key][2] += 1
-                else:
-                    grouped[key] = [s, exp, 1, o]
-            folds = list(grouped.values())
-        else:
-            folds = [[s, exp, 1, o] for s, exp, o in contributions]
-        for s, exp, count, o in folds:
+        for s, exp, count, o in _node_folds(self.field, h, g_tree, mu, m, self.dedupe):
             w_sub = cyclotomic.w_norm_character(self.field, s.modulus, s)
             sub = sub.product(w_sub.power(exp))
             entries.append(_w_entry(s, exp, count, o, w_sub))
         return sub, entries
+
+
+# -- W targets of a node, derived once per node and Galois group -----------------
+
+# Bounds of the module-level caches below; the keys hold group-tree parts and
+# subgroups of (Z/mZ)*, never a class group, so `class_group.cache_clear()`
+# still frees everything that belongs to a field.
+_TAU_LIST_CACHE_SIZE = 256
+_FOLD_CACHE_SIZE = 1024
+_fold_cache = OrderedDict()
+
+
+@lru_cache(maxsize=_TAU_LIST_CACHE_SIZE)
+def _tau_exponents(h, m):
+    """(tau, o(tau), W exponent) for every tau != 1 in the Sylow parts of h,
+    l by l in canonical order, in a node whose acting group has order m;
+    and the sorted distinct o(tau)."""
+    n = h.order
+    taus = []
+    for l in _prime_factors(n):
+        for tau in h.sylow_part(l):
+            o = h.element_order(tau)
+            if o != 1:
+                taus.append((tau, o, w_exponent(l, o, m, n)))
+    return tuple(taus), tuple(sorted({o for _, o, _ in taus}))
+
+
+def _node_folds(field, h, g_tree, mu, m, dedupe):
+    """The node's W factors over `field` as (s, exponent, tau count, o(tau)):
+    the Frobenius target s of each tau (the realized exponents inside
+    Gal(k(zeta_o)/k); {1} in a leaf), grouped by (fixed field, exponent)
+    under `dedupe`.  The field enters only through the Galois groups of the
+    moduli o(tau), so the list is cached under (node, dedupe, those groups)
+    and fields with the same Galois groups share it."""
+    taus, moduli = _tau_exponents(h, m)
+    gals = tuple(cyclotomic.galois_group(field, o) for o in moduli)
+    key = (h, g_tree, mu, m, dedupe, gals)
+    folds = _fold_cache.get(key)
+    if folds is not None:
+        _fold_cache.move_to_end(key)
+        return folds
+    contributions = []
+    for tau, o, exp in taus:
+        if g_tree is None:
+            s = cyclotomic.CycloSubgroup(o, frozenset([1]))
+        else:
+            s = cyclotomic.g_k_mu_tau(field, g_tree, mu, tau)
+        contributions.append((s, exp, o))
+    if dedupe:
+        grouped = {}
+        for s, exp, o in contributions:
+            fold = grouped.setdefault((cyclotomic.fixed_field_descriptor(s), exp), [s, exp, 0, o])
+            fold[2] += 1
+        folds = tuple(tuple(fold) for fold in grouped.values())
+    else:
+        folds = tuple((s, exp, 1, o) for s, exp, o in contributions)
+    _fold_cache[key] = folds
+    if len(_fold_cache) > _FOLD_CACHE_SIZE:
+        _fold_cache.popitem(last=False)
+    return folds
+
+
+def clear_caches():
+    """Drop every cached W target, tau list, realized exponent set and
+    Galois group; answers do not depend on them."""
+    _fold_cache.clear()
+    _tau_exponents.cache_clear()
+    cyclotomic._realized_exponents.cache_clear()
+    cyclotomic._kronecker_kernel.cache_clear()
+    cyclotomic.unit_group.cache_clear()
 
 
 def _w_entry(s, exp, tau_count, order_tau, w_sub) -> dict:

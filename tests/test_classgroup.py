@@ -164,6 +164,23 @@ def test_fundamental_validation():
         sc.class_group(-10_000_004)  # beyond the cap (and checked first)
 
 
+def test_fundamental_validation_on_warm_cache():
+    # is_fundamental is cached; a rejected discriminant must still be
+    # rejected when the cache already holds its answer
+    sc.is_fundamental.cache_clear()
+    for _ in range(2):
+        for bad in (-12, -9, -100, -8000075):  # -8000075 = -25 * 320003
+            assert not sc.is_fundamental(bad)
+            with pytest.raises(InadmissibleError, match="not a fundamental"):
+                sc.QuadField(bad)
+        # fundamental but beyond the cap
+        assert sc.is_fundamental(-10_000_003)
+        with pytest.raises(InadmissibleError, match="exceeds the supported cap"):
+            sc.QuadField(-10_000_003)
+        assert sc.QuadField(-8000003).disc == -8000003
+    assert sc.is_fundamental.cache_info().hits >= 6
+
+
 def test_rationals_sentinel():
     cg = sc.class_group(0)
     assert cg.order == 1

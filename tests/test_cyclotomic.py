@@ -1,6 +1,7 @@
 """Galois-subgroup and W-group tests."""
 
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,82 @@ def test_g_k_mu_tau_is_subgroup_on_corpus():
                 continue
             s = g_k_mu_tau(field, c2, mu, tau)
             assert 1 in s.members
+
+
+def _direct_g_k_mu_tau(field, g_tree, mu, tau):
+    """The realized exponents inside Gal(k(zeta_o)/k), computed directly."""
+    h = mu.h
+    o = h.element_order(tau)
+    powers = {}
+    cur = h.identity
+    for a in range(o):
+        powers.setdefault(cur, a)
+        cur = h.add(cur, tau)
+    images = [mu.apply(g, tau) for g in gt.elements(g_tree)]
+    realized = {powers[img] for img in images if img in powers}
+    full = [a for a in range(1, o) if gcd(a, o) == 1]
+    if field.disc and o % -field.disc == 0:
+        full = [a for a in full if sc._kernels.kronecker(field.disc, a) == 1]
+    return CycloSubgroup(o, frozenset(a for a in full if a in realized))
+
+
+def _semidirect_nodes(tree):
+    if isinstance(tree, gt.Semidirect):
+        yield tree
+        yield from _semidirect_nodes(tree.g)
+    elif isinstance(tree, gt.Direct):
+        yield from _semidirect_nodes(tree.left)
+        yield from _semidirect_nodes(tree.right)
+
+
+ORACLE_DISCS = (0, -3, -4, -7, -8, -11, -15, -23, -84, -5460)
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cached_g_k_mu_tau_matches_direct_computation():
+    # every semidirect node and every tau != 1 of its Sylow parts, over the
+    # rtbench corpus and the bundled examples; each query runs twice so the
+    # second one is answered from the warm caches
+    paths = sorted((_ROOT / "rtbench" / "specs").glob("*.json"))
+    paths += sorted((_ROOT / "src" / "steinitzcalc" / "examples").glob("*.json"))
+    nodes = {
+        node
+        for path in paths
+        for node in _semidirect_nodes(gt.tree_from_spec(json.loads(path.read_text())))
+    }
+    assert len(paths) == 22 and len(nodes) == 7  # D3 D5 D7 D9 D15 F21 C11xD5
+    checked = 0
+    for disc in ORACLE_DISCS:
+        field = sc.QuadField(disc)
+        for node in nodes:
+            for l in _prime_factors(node.h.order):
+                for tau in node.h.sylow_part(l):
+                    if tau == node.h.identity:
+                        continue
+                    want = _direct_g_k_mu_tau(field, node.g, node.mu, tau)
+                    assert g_k_mu_tau(field, node.g, node.mu, tau) == want
+                    assert g_k_mu_tau(field, node.g, node.mu, tau) == want
+                    checked += 1
+    assert checked == 42 * len(ORACLE_DISCS)
+
+
+def test_g_k_mu_tau_raises_on_warm_cache():
+    h = gt.AbelianGroup((7,))
+    c3 = gt.leaf(3)
+    mu = gt.validate_action(h, c3, [(gt.AbElement((1,)), [[2]])])
+    tau = h.element((1,))
+    assert g_k_mu_tau(Q, c3, mu, tau).sorted_members() == [1, 2, 4]
+    foreign = gt.validate_action(h, gt.leaf(2), [(gt.AbElement((1,)), [[-1]])])
+    big = gt.leaf(gt.ENUMERATION_CAP + 1)
+    over_cap = gt.Action(h, big, {})  # no table: the cap check comes first
+    for _ in range(2):
+        with pytest.raises(InadmissibleError, match="identity"):
+            g_k_mu_tau(Q, c3, mu, h.identity)
+        with pytest.raises(InadmissibleError, match="does not belong"):
+            g_k_mu_tau(Q, c3, foreign, tau)
+        with pytest.raises(InadmissibleError, match="enumeration cap"):
+            g_k_mu_tau(Q, big, over_cap, tau)
+    assert g_k_mu_tau(Q, c3, mu, tau).sorted_members() == [1, 2, 4]
 
 
 # -- w_group ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from steinitzcalc import grouptree as gt
 from steinitzcalc.errors import InadmissibleError
 
-from conftest import corpus_trees, frobenius21
+from conftest import c11_rtimes_d5, corpus_trees, frobenius21
 
 
 # -- abelian groups -------------------------------------------------------------
@@ -219,6 +219,19 @@ def test_validate_action_idempotent():
     mu = gt.validate_action(h, gt.leaf(3), [(gt.AbElement((1,)), [[2]])])
     again = gt.validate_action(h, gt.leaf(3), mu)
     assert again == mu
+
+
+def test_equal_actions_hash_equal():
+    # built twice from different generating sets; the hash is taken once in
+    # __init__ from the finished table
+    c11d5 = [gt.tree_from_spec(gt.tree_to_spec(c11_rtimes_d5())) for _ in range(2)]
+    assert c11d5[0].mu is not c11d5[1].mu and c11d5[0].mu == c11d5[1].mu
+    h = gt.AbelianGroup((7,))
+    by_2 = gt.validate_action(h, gt.leaf(3), [(gt.AbElement((1,)), [[2]])])
+    by_4 = gt.validate_action(h, gt.leaf(3), [(gt.AbElement((2,)), [[4]])])
+    for a, b in ((c11d5[0].mu, c11d5[1].mu), (by_2, by_4), (by_2, frobenius21().mu)):
+        assert a == b and hash(a) == hash(b)
+    assert len({by_2, by_4, frobenius21().mu, c11d5[0].mu, c11d5[1].mu}) == 2
 
 
 def test_action_composition_is_matrix_product():

@@ -1,8 +1,10 @@
 """Engine tests: recursion, cross-path consistency, traces, golden values."""
 
 import copy
+import gc
 import io
 import json
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from steinitzcalc.errors import InadmissibleError, TraceMismatchError
 from conftest import (
     CROSS_DISCS,
     admissible_corpus_trees,
+    c11_rtimes_d5,
     frobenius21,
     trivial_leaf,
 )
@@ -406,13 +409,13 @@ def test_membership_guards():
 SPECS = Path(__file__).resolve().parent.parent / "rtbench" / "specs"
 
 
-def _rt_bytes(spec, disc, trace):
+def _rt_bytes(spec, disc, trace, extra=()):
     """stdout, exit code and trace bytes of `rt --json` and of `rt --trace`."""
     runs = []
     for argv in (["--json"], ["--trace", str(trace)]):
         out = io.StringIO()
         with redirect_stdout(out):
-            code = cli.main(["rt", "--disc", str(disc), "--group", str(spec)] + argv)
+            code = cli.main(["rt", "--disc", str(disc), "--group", str(spec), *extra] + argv)
         runs.append((out.getvalue(), code))
     return runs, trace.read_bytes()
 
@@ -436,3 +439,60 @@ def test_rt_bytes_independent_of_query_order(disc, tmp_path):
         cold[p.name] = _rt_bytes(p, disc, trace)
     assert forward == reverse == cold
     assert all(code == 0 for runs, _ in forward.values() for _, code in runs)
+
+
+# -- the W-target caches are keyed on the Galois groups and on dedupe ---------------
+
+
+def _c23_rtimes_c11():
+    # 2 has order 11 mod 23: a faithful action of C(11) on C(23)
+    h = gt.AbelianGroup((23,))
+    return gt.semidirect(h, gt.leaf(11), [(gt.AbElement((1,)), [[2]])])
+
+
+def test_w_targets_follow_the_galois_groups(tmp_path):
+    # each tree is queried over fields whose Gal(k(zeta_o)/k) is all of
+    # (Z/o)* and then over the field with |D| = o, where the Galois group
+    # has index 2 and cuts the W target; with and without --no-dedupe in
+    # between.  Every answer must equal one computed with every W-target
+    # cache cleared first.
+    cases = [
+        ("D23", gt.dihedral_tree(23), -23),
+        ("C23xC11semi", _c23_rtimes_c11(), -23),
+        ("F21", frobenius21(), -7),
+        ("C11xD5semi", c11_rtimes_d5(), -11),
+    ]
+    trace = tmp_path / "trace.json"
+    queries = []
+    for name, tree, cut in cases:
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(gt.tree_to_spec(tree)))
+        for disc in (-84, 0, -47, cut):
+            for extra in ((), ("--no-dedupe",)):
+                queries.append((spec, disc, extra))
+    rz.clear_caches()
+    warm = [_rt_bytes(spec, disc, trace, extra) for spec, disc, extra in queries]
+    cold = []
+    for spec, disc, extra in queries:
+        rz.clear_caches()
+        sc.is_fundamental.cache_clear()
+        cold.append(_rt_bytes(spec, disc, trace, extra))
+    for query, got, want in zip(queries, warm, cold):
+        assert got == want, query
+    assert all(code == 0 for runs, _ in cold for _, code in runs)
+
+
+def test_class_group_freed_by_cache_clear():
+    # no cache outside the class group may keep a field's ClassGroup alive
+    disc = -5460
+    specs = sorted(SPECS.glob("*.json"))
+    assert len(specs) == 17
+    sc.class_group.cache_clear()
+    for spec in specs:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["rt", "--disc", str(disc), "--group", str(spec), "--json"]) == 0
+    ref = weakref.ref(sc.class_group(disc))
+    assert ref()._w_cache  # the queries reached this group
+    sc.class_group.cache_clear()
+    gc.collect()
+    assert ref() is None
