@@ -174,12 +174,13 @@ class ClassGroup:
     def __init__(self, disc: int):
         if disc == 0:
             self.disc = 0
-            self.forms = (QuadForm(1, 0, 0),)
+            tuples = [(1, 0, 0)]
         else:
             QuadField(disc)  # validation
             self.disc = disc
-            self.forms = tuple(QuadForm(*t) for t in _kernels.reduced_forms(disc))
-        self._index = {f.as_tuple(): i for i, f in enumerate(self.forms)}
+            tuples = _kernels.reduced_forms(disc)
+        self.forms = tuple(QuadForm(*t) for t in tuples)
+        self._index = dict(zip(tuples, range(len(tuples))))
         self.principal_index = (
             0 if disc == 0 else self._index[principal_form(disc).as_tuple()]
         )
@@ -311,63 +312,90 @@ def _dlog_table(cg: ClassGroup):
     weights[t + 1] = weights[t] * (2 * moduli[t] - 1), wide enough that the
     sum of two codes has no carries; lut maps every code whose digits s_t
     lie in [0, 2 * moduli[t] - 2] to the index at (s_t mod moduli[t]), fewer
-    than 2^k * h entries for k moduli.  So
-    composition is lut[codes[i] + codes[j]], and powers and inverses look up
-    the code of the scaled coordinates.
+    than 2^k * h entries for k moduli.  So composition is lut[codes[i] +
+    codes[j]], and powers and inverses look up the code of the scaled
+    coordinates.
 
     The build walks the indices in sorted order; an index g outside the span
-    S of the generators so far becomes the next generator, and the cosets
-    S*g, S*g^2, ... are added one at a time, one kernel composition per new
-    element, each element getting its exponent vector over the generators.
-    The first g^n found in S gives the relation n*e_g = exponents(g^n).  The
-    relations form a lower-triangular k x k matrix R with k <= log2(h); with
-    U*R*V = diag(d) for unimodular U and V, an exponent vector a has
-    coordinates (a*V)_t mod d_t, of which those with d_t > 1 are kept
-    (Cohen, GTM 138, section 2.4)."""
-    forms, index = cg.forms, cg._index
+    S of the generators so far becomes the next generator g_j, and the
+    cosets S*g, S*g^2, ... are appended to the insertion order one at a
+    time, one kernel composition per new element: the element at position p
+    of a coset is the one at p - |S| times g.  So the position p of an
+    element is its back-pointer: with M_j = |S| it is order[p mod M_j] *
+    g_j^(p div M_j), and the mixed-radix digits of p are its exponent vector
+    over the generators.  The first g^n found in S gives the relation n*e_j =
+    exponents(g^n), read off its position.  The relations form a
+    lower-triangular k x k matrix R with k <= log2(h); with U*R*V = diag(d)
+    for unimodular U and V, an exponent vector a has coordinates (a*V)_t mod
+    d_t, of which those with d_t > 1 are kept (Cohen, GTM 138, section 2.4).
+    Each kept coordinate is filled in insertion order, coset by coset, as
+    (coordinate of the back-pointer + n * V[j][t]) mod d_t.
 
-    def compose(i, j):
-        f1, f2 = forms[i], forms[j]
-        return index[_kernels.compose_reduced(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c)]
+    `lut` gets each index at its code, then its digits are widened one
+    coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t - 2]
+    are a slice copy of those in [0, m_t - 2], one per value of the higher
+    digits filled so far."""
+    h, index, principal = cg.order, cg._index, cg.principal_index
+    forms = list(index)  # the (a, b, c) tuples, in index order
+    compose = _kernels.compose_reduced
 
-    exps = {cg.principal_index: ()}  # the span S, principal class first
-    relations = []
-    for g in range(cg.order):
-        if g in exps:
+    order, span = [principal], {principal}  # S in insertion order, and as a set
+    cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
+    for g in range(h):
+        if g in span:
             continue
-        exps = {x: v + (0,) for x, v in exps.items()}
-        coset, n = list(exps.items()), 0
+        a2, b2, c2 = forms[g]
+        m, n = len(order), 1
         while True:
-            n += 1
-            first = compose(coset[0][0], g)  # g^n
-            if first in exps:
-                relations.append([-c for c in exps[first][:-1]] + [n])
+            start = (n - 1) * m
+            first = index[compose(*forms[order[start]], a2, b2, c2)]  # g^n
+            if first in span:  # n e_j = the digits of first's position
+                p = order.index(first)
+                relations.append([-(p // m_i % n_i) for m_i, n_i in cosets] + [n])
                 break
-            coset = [(first, coset[0][1][:-1] + (n,))] + [
-                (compose(x, g), v[:-1] + (n,)) for x, v in coset[1:]
+            coset = [first] + [
+                index[compose(*forms[x], a2, b2, c2)] for x in order[start + 1:start + m]
             ]
-            exps.update(coset)
+            order += coset
+            span.update(coset)
+            n += 1
+        cosets.append((m, n))
 
     k = len(relations)
     d, v = _diagonalize([r + [0] * (k - len(r)) for r in relations])
     keep = [t for t in range(k) if d[t] > 1]
     moduli = tuple(d[t] for t in keep)
-    coords = [None] * cg.order
-    for x, a in exps.items():
-        a += (0,) * (k - len(a))
-        coords[x] = tuple(sum(a[j] * v[j][t] for j in range(k)) % d[t] for t in keep)
-    at = {c: x for x, c in enumerate(coords)}
-    if len(at) != cg.order or prod(moduli) != cg.order:
+    weights = [prod(2 * m - 1 for m in moduli[:t]) for t in range(len(moduli))]
+
+    columns = []  # each kept coordinate of the elements in insertion order
+    for t in keep:
+        col, dt = [0], d[t]
+        for (m, r), row in zip(cosets, v):
+            for n in range(1, r):
+                shift = n * row[t] % dt
+                col += [(c + shift) % dt for c in col[:m]]
+        columns.append(col)
+    codes = [0] * h
+    for col, w in zip(columns, weights):
+        codes = [code + c * w for code, c in zip(codes, col)]
+    if len(set(codes)) != h or prod(moduli) != h:
         raise InternalInvariantError(f"discrete-log table of disc {cg.disc} is not a bijection")
 
-    weights = [prod(2 * m - 1 for m in moduli[:t]) for t in range(len(moduli))]
-    codes = [sum([c * w for c, w in zip(cs, weights)]) for cs in coords]
-    # product() varies its last range fastest: list the digits high to low
-    lut = [
-        at[tuple(s % m for s, m in zip(reversed(digits), moduli))]
-        for digits in product(*[range(2 * m - 1) for m in reversed(moduli)])
-    ]
-    return coords, codes, lut, moduli, weights
+    lut = [0] * prod(2 * m - 1 for m in moduli)
+    for code, x in zip(codes, order):
+        lut[code] = x
+    for t, (m, w) in enumerate(zip(moduli, weights)):
+        prefixes = [0]  # the higher digits s_u in [0, m_u - 1]
+        for mu, wu in zip(moduli[t + 1:], weights[t + 1:]):
+            prefixes = [p + s * wu for p in prefixes for s in range(mu)]
+        for p in prefixes:
+            lut[p + m * w:p + (2 * m - 1) * w] = lut[p:p + (m - 1) * w]
+
+    position = [0] * h
+    for p, x in enumerate(order):
+        position[x] = p
+    coords = list(zip(*columns)) if columns else [()] * h
+    return [coords[p] for p in position], [codes[p] for p in position], lut, moduli, weights
 
 
 def _diagonalize(rows):

@@ -24,8 +24,10 @@ nodes with odd kernel of coprime order, direct nodes under the parity rule.
 
 Every run records a replayable trace: per node, the formula instance, the
 W descriptors with their generators, and the resulting subgroup.  The run
-keeps each node's subgroup; `RtResult.trace` lists their member forms on
-first access, so a query that writes no trace never enumerates members.
+keeps the group tree, each node's subgroup and each W factor's raw fold
+(`_WFold`); `RtResult.trace` turns them into the tree's spec, the member
+forms and the W entries on first access, so a query that writes no trace
+never enumerates members or formats a W entry.
 `rt_trace_replay` re-evaluates a trace bottom-up from the recorded
 generators and raises on any mismatch; it reads version-1 traces (which
 also carry the prime bounds of the old enumeration) as well.
@@ -37,7 +39,7 @@ prime enumeration `cyclotomic.w_group`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -85,9 +87,10 @@ class RtRequest:
 class RtResult:
     """R_t(k, G) as a ClassSubgroup, with its replayable trace.
 
-    The run records the trace with each node's subgroup where its
-    "members" list goes; `trace` replaces them by the sorted member forms
-    on first access and keeps the result."""
+    The run records the trace with the group tree where its spec goes,
+    each node's subgroup where its "members" list goes and a `_WFold` where
+    each W entry goes; `trace` replaces them by the spec, the sorted member
+    forms and the W entries on first access and keeps the result."""
 
     def __init__(self, subgroup: ClassSubgroup, record: dict):
         self.subgroup = subgroup
@@ -99,9 +102,14 @@ class RtResult:
 
 
 def _listed(record):
-    """`record` with every ClassSubgroup in it replaced by its member forms."""
+    """`record` with every ClassSubgroup in it replaced by its member forms,
+    every group tree by its spec and every `_WFold` by its W entry."""
     if isinstance(record, ClassSubgroup):
         return _forms(record)
+    if isinstance(record, grouptree.GroupTree):
+        return grouptree.tree_to_spec(record)
+    if isinstance(record, _WFold):
+        return _w_entry(*record)
     if isinstance(record, dict):
         return {key: _listed(value) for key, value in record.items()}
     if isinstance(record, list):
@@ -190,7 +198,7 @@ class _Engine:
         for s, exp, count, o in _node_folds(self.field, h, g_tree, mu, m, self.dedupe):
             w_sub = cyclotomic.w_norm_character(self.field, s.modulus, s)
             sub = sub.product(w_sub.power(exp))
-            entries.append(_w_entry(s, exp, count, o, w_sub))
+            entries.append(_WFold(s, exp, count, o, w_sub))
         return sub, entries
 
 
@@ -264,6 +272,10 @@ def clear_caches():
     cyclotomic.unit_group.cache_clear()
 
 
+# One W(k, E)^exp factor folded into a node, as the run keeps it for the trace.
+_WFold = namedtuple("_WFold", "s exp tau_count order_tau w_sub")
+
+
 def _w_entry(s, exp, tau_count, order_tau, w_sub) -> dict:
     """Trace record of one W(k, E)^exp factor folded into a node."""
     return {
@@ -288,7 +300,7 @@ def rt(field: QuadField, tree: grouptree.GroupTree, dedupe=True) -> RtResult:
     record = {
         "version": _TRACE_VERSION,
         "disc": field.disc,
-        "group": grouptree.tree_to_spec(tree),
+        "group": tree,
         "dedupe": dedupe,
         "node": node_trace,
     }
@@ -318,7 +330,7 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
             w_sub = cyclotomic.w_group(field, o, s, bound=bound).subgroup
             sub = sub.product(w_sub.power(exp))
             # tau_count: the phi(o) = o - o/l elements of order o in C(n)
-            entries.append(_w_entry(s, exp, o - o // l, o, w_sub))
+            entries.append(_WFold(s, exp, o - o // l, o, w_sub))
             o *= l
     node = {
         "kind": "dihedral",

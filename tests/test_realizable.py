@@ -259,6 +259,24 @@ def test_trace_records_stabilization():
     assert w["w_generators"] == [[3, 0, 7]]
 
 
+def test_trace_record_is_built_on_first_access(monkeypatch):
+    # an untraced rt keeps the tree and the raw W folds; the spec and the W
+    # entries are formatted once, when the trace is read
+    tree = gt.Direct(frobenius21(), gt.leaf(3))
+    spec_calls, entry_calls = [], []
+    tree_to_spec, w_entry = gt.tree_to_spec, rz._w_entry
+    monkeypatch.setattr(gt, "tree_to_spec", lambda t: spec_calls.append(t) or tree_to_spec(t))
+    monkeypatch.setattr(rz, "_w_entry", lambda *a: entry_calls.append(a) or w_entry(*a))
+    res = sc.rt(K84, tree)
+    assert spec_calls == [] and entry_calls == []
+    trace = res.trace
+    assert [t for t in spec_calls if t is tree] == [tree]
+    assert trace["group"] == tree_to_spec(tree)
+    assert entry_calls
+    res.trace
+    assert [t for t in spec_calls if t is tree] == [tree]
+
+
 @pytest.mark.parametrize("spec", ["c3", "d3"])
 def test_trace_replay_accepts_version_1(spec):
     # traces written by the enumerating engine (version 1, with prime bounds)
