@@ -26,8 +26,6 @@ from .classgroup import (
     subgroup_contains,
     subgroup_eq,
     subgroup_generate,
-    subgroup_power,
-    subgroup_product,
 )
 from .cyclotomic import (
     CycloSubgroup,
@@ -95,7 +93,7 @@ __all__ = [
     "ClassGroup", "ClassSubgroup", "IdealClass", "QuadField", "QuadForm",
     "Splitting", "class_group", "compose", "is_fundamental", "prime_class",
     "principal_form", "reduce", "splitting", "subgroup_contains",
-    "subgroup_eq", "subgroup_generate", "subgroup_power", "subgroup_product",
+    "subgroup_eq", "subgroup_generate",
     # cyclotomic
     "CycloSubgroup", "FixedFieldDescriptor", "WGroup",
     "fixed_field_descriptor", "galois_group", "g_k_mu_tau", "unit_group",

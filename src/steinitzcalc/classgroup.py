@@ -168,7 +168,8 @@ class ClassGroup:
     arithmetic mod d_i and the order of an element is an lcm.  A subgroup is
     the lattice of its coordinates (`_lattice`, see ClassSubgroup).  The
     invariant-factor structure and matching generators are computed on
-    first use.  `_w_cache` keeps `cyclotomic.w_norm_character`'s W-groups.
+    first use, in the same coordinates (`_structure_of`).  `_w_cache` keeps
+    `cyclotomic.w_norm_character`'s W-groups.
     """
 
     def __init__(self, disc: int):
@@ -254,15 +255,65 @@ class ClassGroup:
         return _hnf(self._dlog[3], vectors)
 
     def _structure_of(self, order, hnf, sylows):
-        coords = self._dlog[0]
+        """(invariant_factors, generator_indices) of the subgroup of order
+        `order` with lattice `hnf`, whose Sylow l-subgroups are listed in
+        index order in `sylows[l]`.
 
-        def spans(gens):
-            return self._lattice([coords[g] for g in gens]) == hnf
+        Works prime by prime.  A basis of each Sylow subgroup is found by
+        repeatedly taking its first member x of largest order q modulo the
+        span so far and lifting x to x*s, for the first s in the span with
+        x*s of exact order q (such a lift exists because the span is a
+        direct summand at every step).  The span is a lattice.  q is the
+        exponent of Sylow/span, the least l^j with l^j*m*r in the span for
+        every row r of `hnf` (m = order / l-part: those scaled rows generate
+        the Sylow lattice), so x is the first member with x^(q/l) outside
+        the span.  The span's size is the product of the q's found so far,
+        since each new basis element meets the span only in the identity.
+        The per-prime bases are then merged into an invariant-factor chain,
+        largest factor first."""
+        if order == 1:
+            return (), ()
+        coords, moduli = self._dlog[0], self._dlog[3]
+        per_prime = []  # [(order, generator_index), ...] descending, per prime
+        for l in _prime_factors(order):
+            sylow = sylows[l]
+            m = order // _l_part(order, l)
+            rows = [[m * x for x in row] for row in hnf]
+            span, size, basis = _hnf(moduli, ()), 1, []
+            while size < len(sylow):
+                q = l
+                while not all(_in_lattice(span, [q * x for x in r]) for r in rows):
+                    q *= l
+                e = q // l
+                x = next(x for x in sylow if not _in_lattice(span, [e * c for c in coords[x]]))
+                for s in sylow:
+                    if _in_lattice(span, coords[s]):
+                        y = self.compose_idx(x, s)
+                        if self.order_of_idx(y) == q:
+                            break
+                else:
+                    raise InternalInvariantError("no exact-order lift in coset")
+                basis.append((q, y))
+                size *= q
+                if size < len(sylow):
+                    span = _hnf(moduli, span + (coords[y],))
+            per_prime.append(basis)
 
-        return _abelian_structure(
-            order, sylows, self.compose_idx, self.pow_idx, self.principal_index,
-            self.order_of_idx, spans,
-        )
+        factors, gens = [], []
+        for i in range(max(map(len, per_prime))):
+            d, g = 1, self.principal_index
+            for basis in per_prime:
+                if i < len(basis):
+                    o, x = basis[i]
+                    d *= o
+                    g = self.compose_idx(g, x)
+            factors.append(d)
+            gens.append(g)
+
+        # the generators must span the subgroup, each element exactly once
+        if prod(factors) != order or self._lattice([coords[g] for g in gens]) != hnf:
+            raise InternalInvariantError("abelian structure generators do not span")
+        return tuple(factors), tuple(gens)
 
     @cached_property
     def _full_hnf(self):
@@ -654,29 +705,6 @@ def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
     return ClassSubgroup._of(cg, cg._lattice([coords[i] for i in gen_idx]), gen_idx)
 
 
-def _close(mul, members, gens):
-    """(closure, grown): the subgroup generated by the subgroup `members` and
-    the generators `gens` under the group law `mul`, and the generators that
-    enlarged it.
-
-    The parent is abelian, so the closure over g is the union of the cosets
-    S*g^k, added one coset at a time until the next one is already in.
-    Class subgroups are lattices (`_hnf`); this closure grows the span in
-    `_l_group_basis` and is the tests' independent oracle for the lattice
-    operations."""
-    out = set(members)
-    grown = []
-    for g in gens:
-        if g in out:
-            continue
-        grown.append(g)
-        coset = {mul(x, g) for x in out}
-        while not coset <= out:
-            out |= coset
-            coset = {mul(x, g) for x in coset}
-    return frozenset(out), grown
-
-
 # -- lattices in discrete-log coordinates --------------------------------------
 
 
@@ -770,14 +798,6 @@ def _grow(cg: ClassGroup, hnf, candidates, stop: int):
     return hnf, grown
 
 
-def subgroup_power(s: ClassSubgroup, e: int) -> ClassSubgroup:
-    return s.power(e)
-
-
-def subgroup_product(s1: ClassSubgroup, s2: ClassSubgroup) -> ClassSubgroup:
-    return s1.product(s2)
-
-
 def subgroup_eq(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
     _check_same_group(s1.group, s2.group)
     return s1 == s2
@@ -787,75 +807,3 @@ def subgroup_contains(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
     """True when s1 contains s2."""
     _check_same_group(s1.group, s2.group)
     return all(_in_lattice(s1.hnf, row) for row in s2.hnf)
-
-
-# -- abelian structure ---------------------------------------------------------
-
-
-def _abelian_structure(h, sylows, mul, pow_fn, identity, order_fn, spans):
-    """Invariant factors and matching generators of a finite abelian group
-    of order h.
-
-    `sylows[l]` lists the Sylow l-subgroup's member indices for each prime
-    l | h (class groups read them off their coordinates:
-    `ClassGroup._sylows`); `mul`, `pow_fn`, `order_fn` operate on indices,
-    and `spans(gens)` says whether `gens` generate the whole group (for a
-    class subgroup: their lattice is its lattice).
-    Works prime by prime: a basis of each Sylow subgroup is found by
-    repeatedly taking an element of maximal order in the quotient by the span
-    so far and lifting it through its coset to an element of that exact
-    order (such a lift exists because the span is a direct summand at every
-    step).  The per-prime bases are then merged into an invariant-factor
-    chain, largest factor first.
-    """
-    if h == 1:
-        return (), ()
-    per_prime = []  # (l, [(order, generator_index), ...] descending)
-    for l in _prime_factors(h):
-        per_prime.append((l, _l_group_basis(sylows[l], l, mul, pow_fn, identity, order_fn)))
-
-    width = max(len(basis) for _, basis in per_prime)
-    factors, gens = [], []
-    for i in range(width):
-        d, g = 1, identity
-        for l, basis in per_prime:
-            if i < len(basis):
-                o, x = basis[i]
-                d *= o
-                g = mul(g, x)
-        factors.append(d)
-        gens.append(g)
-
-    # the generators must span the group, each element exactly once
-    if prod(factors) != h or not spans(gens):
-        raise InternalInvariantError("abelian structure generators do not span")
-    return tuple(factors), tuple(gens)
-
-
-def _l_group_basis(sylow, l, mul, pow_fn, identity, order_fn):
-    """Basis [(order, index), ...] of an abelian l-group, orders descending."""
-    sylow = sorted(sylow)
-    span = {identity}
-    basis = []
-    while len(span) < len(sylow):
-        best_x, best_q = None, 0
-        for x in sylow:
-            if x in span:
-                continue
-            q, y = 1, x
-            while y not in span:
-                y = pow_fn(y, l)
-                q *= l
-            if q > best_q:
-                best_q, best_x = q, x
-        lifted = None
-        for s in sorted(span):
-            y = mul(best_x, s)
-            if order_fn(y) == best_q:
-                lifted = y
-                break
-        if lifted is None:
-            raise InternalInvariantError("no exact-order lift in coset")
-        basis.append((best_q, lifted))
-        span, _ = _close(mul, span, [lifted])
-    return basis

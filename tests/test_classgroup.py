@@ -11,11 +11,11 @@ from math import gcd, isqrt
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc.classgroup import _abelian_structure, _close
 from steinitzcalc.errors import InadmissibleError
 from steinitzcalc.grouptree import _prime_factors
 
 from conftest import ACCEPT_DISCS, MIXED_DISCS, sylows_by_order
+from structure_oracle import _abelian_structure, _close
 
 SMALL_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -47, -71, -84, -120, -231, -420)
 LADDER_DISCS = (-1000019, -8000003, -9951191)  # h = 342, 702, 5085
@@ -375,10 +375,10 @@ def test_prime_class_lagrange():
 def test_subgroup_power_examples():
     cg = sc.class_group(-23)
     full = cg.full_subgroup()
-    assert sc.subgroup_power(full, 3).is_trivial()
-    assert sc.subgroup_power(full, 2) == full
-    assert sc.subgroup_power(full, 0).is_trivial()
-    assert sc.subgroup_power(full, 1) == full
+    assert full.power(3).is_trivial()
+    assert full.power(2) == full
+    assert full.power(0).is_trivial()
+    assert full.power(1) == full
 
 
 def test_subgroup_product_and_generate():
@@ -387,10 +387,10 @@ def test_subgroup_product_and_generate():
     g1 = cg.class_of(sc.QuadForm(3, 0, 7))
     s1 = sc.subgroup_generate(cg, [g1])
     assert s1.order == 2
-    assert sc.subgroup_product(trivial, s1) == s1
+    assert trivial.product(s1) == s1
     g2 = cg.class_of(sc.QuadForm(2, 2, 11))
     s2 = sc.subgroup_generate(cg, [g2])
-    assert sc.subgroup_product(s1, s2).order == 4
+    assert s1.product(s2).order == 4
     assert sc.subgroup_contains(cg.full_subgroup(), s1)
     assert not sc.subgroup_contains(s1, s2)
     assert sc.subgroup_eq(s1, sc.subgroup_generate(cg, [g1, g1]))
@@ -578,7 +578,7 @@ def test_subgroup_parent_mismatch():
     s1 = sc.class_group(-23).full_subgroup()
     s2 = sc.class_group(-47).full_subgroup()
     with pytest.raises(InadmissibleError):
-        sc.subgroup_product(s1, s2)
+        s1.product(s2)
 
 
 # -- structure ------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import classgroup, cli, realizable
+from steinitzcalc import cli, realizable
 from steinitzcalc.cli import main
 
 
@@ -249,21 +249,6 @@ def test_untraced_rt_lists_no_member_forms(monkeypatch):
     monkeypatch.setattr(realizable, "_forms", lambda sub: calls.append(sub) or forms(sub))
     _rt_json_over_specs(-1000019)
     assert calls == []
-
-
-def test_rt_runs_the_coset_closure_only_for_sylow_bases(monkeypatch):
-    # subgroups are lattices; the closure only grows spans in _l_group_basis
-    close = classgroup._close
-
-    def guarded(*args):
-        caller = sys._getframe(1).f_code.co_name
-        if caller != "_l_group_basis":
-            raise AssertionError(f"_close called from {caller}")
-        return close(*args)
-
-    monkeypatch.setattr(classgroup, "_close", guarded)
-    _rt_json_over_specs(-8000008)  # cold or warm, whichever state earlier tests left
-    _rt_json_over_specs(-8000008)  # warm
 
 
 MALFORMED_SPECS = {

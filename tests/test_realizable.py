@@ -303,7 +303,7 @@ def test_golden_rt_c3_minus84_proper_nontrivial():
 def test_golden_exponent_collapse_contrast_minus23():
     cg = sc.class_group(-23)
     rt_c3 = sc.rt(K23, gt.leaf(3)).subgroup
-    cube_image = sc.subgroup_power(cg.full_subgroup(), 3)
+    cube_image = cg.full_subgroup().power(3)
     assert rt_c3.is_full() and rt_c3.order == 3
     assert cube_image.is_trivial()
     assert rt_c3 != cube_image  # the W exponent, not the power map, decides
@@ -312,7 +312,7 @@ def test_golden_exponent_collapse_contrast_minus23():
 def test_golden_w_collapse_minus15():
     cg = sc.class_group(-15)
     rt_c5 = sc.rt(K15, gt.leaf(5)).subgroup
-    fifth_image = sc.subgroup_power(cg.full_subgroup(), 5)
+    fifth_image = cg.full_subgroup().power(5)
     assert rt_c5.is_trivial()
     assert fifth_image.is_full()
 

@@ -1,14 +1,17 @@
-"""Fuzz the abelian-structure extractor against synthetic groups."""
+"""The abelian-structure oracle on synthetic groups, and the coordinate
+routine behind `structure()` against that oracle on class groups."""
 
 import random
 from itertools import product
 
 import pytest
 
-from steinitzcalc.classgroup import _abelian_structure, _close
+import steinitzcalc as sc
 from steinitzcalc.errors import InternalInvariantError
+from steinitzcalc.grouptree import _prime_factors
 
-from conftest import sylows_by_order
+from conftest import ACCEPT_DISCS, MIXED_DISCS, sylows_by_order
+from structure_oracle import _abelian_structure, _close
 
 
 def _synthetic(factors, seed):
@@ -90,3 +93,57 @@ def test_structure_rejects_generators_that_do_not_span():
     sylows = sylows_by_order(elems, order_fn)
     with pytest.raises(InternalInvariantError, match="do not span"):
         _abelian_structure(len(elems), sylows, mul, pow_fn, ident, order_fn, lambda gens: False)
+
+
+# -- the coordinate routine against the oracle ------------------------------------------
+
+LADDER_DISCS = (-1000019, -2000003, -8000008, -8000003, -9951191)
+TWO_RANK_DISCS = (-420, -1155, -3315, -5460)  # Cl has 2-rank 3, 3, 3 and 4
+
+
+def _oracle_structure(s):
+    """The oracle run on the table's group law over the members of `s`,
+    with Sylow lists by element order and the span check by closure."""
+    cg = s.group
+    e0, mul = cg.principal_index, cg.compose_idx
+    sylows = sylows_by_order(s.members, cg.order_of_idx)
+
+    def spans(gens):
+        return _close(mul, [e0], gens)[0] == s.members
+
+    return _abelian_structure(s.order, sylows, mul, cg.pow_idx, e0, cg.order_of_idx, spans)
+
+
+@pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS + TWO_RANK_DISCS)
+def test_structure_matches_oracle(disc):
+    # same factors and same generators on the full group and on seeded
+    # subgroups built by generate, power and product
+    cg = sc.class_group(disc)
+    h = cg.order
+    rng = random.Random(disc)
+    full = cg.full_subgroup()
+    assert cg.structure() == full.structure() == _oracle_structure(full)
+    generated = [
+        sc.subgroup_generate(cg, [sc.IdealClass(cg, rng.randrange(h)) for _ in range(k)])
+        for k in (1, 2, 3)
+    ]
+    exponents = (2, 3, _prime_factors(h)[0] if h > 1 else 1)
+    subs = generated + [s.power(e) for s in generated for e in exponents]
+    subs += [s.product(t) for s in subs[:3] for t in subs[3:6]]
+    for s in subs:
+        assert s.structure() == _oracle_structure(s), s.hnf
+
+
+def test_structure_raises_without_an_exact_order_lift(monkeypatch):
+    cg = sc.ClassGroup(-5460)  # uncached, so the patch stays with this test
+    monkeypatch.setattr(cg, "order_of_idx", lambda i: 1)
+    with pytest.raises(InternalInvariantError, match="no exact-order lift"):
+        cg.structure()
+
+
+def test_structure_raises_when_generators_do_not_span(monkeypatch):
+    cg = sc.ClassGroup(-5460)
+    lattice = cg._lattice
+    monkeypatch.setattr(cg, "_lattice", lambda vectors: lattice(vectors[1:]))
+    with pytest.raises(InternalInvariantError, match="do not span"):
+        cg.structure()
