@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
@@ -91,8 +92,7 @@ class QuadField:
         return "Q" if self.is_rationals else f"Q(sqrt({self.disc}))"
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -104,11 +104,6 @@ class QuadForm:
     @property
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
-
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        return abs(b) <= a <= c and (b >= 0 if (abs(b) == a or a == c) else True)
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
@@ -167,9 +162,12 @@ class ClassGroup:
     in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
     arithmetic mod d_i and the order of an element is an lcm.  A subgroup is
     the lattice of its coordinates (`_lattice`, see ClassSubgroup).  The
-    invariant-factor structure and matching generators are computed on
-    first use, in the same coordinates (`_structure_of`).  `_w_cache` keeps
-    `cyclotomic.w_norm_character`'s W-groups.
+    invariant-factor structure and matching generators of a subgroup are a
+    function of its lattice: `_structure_of` computes them in the same
+    coordinates on first use and keeps them in `_structures`, keyed by the
+    lattice, so the group and every subgroup with that lattice share one
+    answer.  `_w_cache` keeps `cyclotomic.w_norm_character`'s W-groups.
+    Both live and die with the group (`class_group.cache_clear()`).
     """
 
     def __init__(self, disc: int):
@@ -180,12 +178,12 @@ class ClassGroup:
             QuadField(disc)  # validation
             self.disc = disc
             tuples = _kernels.reduced_forms(disc)
-        self.forms = tuple(QuadForm(*t) for t in tuples)
+        self.forms = tuple(map(QuadForm._make, tuples))
         self._index = dict(zip(tuples, range(len(tuples))))
         self.principal_index = (
             0 if disc == 0 else self._index[principal_form(disc).as_tuple()]
         )
-        self._structure = None
+        self._structures = {}  # hnf -> structure, filled by _structure_of
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
 
     # -- basic protocol ----------------------------------------------------
@@ -254,38 +252,42 @@ class ClassGroup:
         stacked on diag(d_i): the subgroup they generate (see `_hnf`)."""
         return _hnf(self._dlog[3], vectors)
 
-    def _structure_of(self, order, hnf, sylows):
-        """(invariant_factors, generator_indices) of the subgroup of order
-        `order` with lattice `hnf`, whose Sylow l-subgroups are listed in
-        index order in `sylows[l]`.
+    def _structure_of(self, hnf):
+        """(invariant_factors, generator_indices) of the subgroup with
+        lattice `hnf`, memoized in `_structures`.
 
-        Works prime by prime.  A basis of each Sylow subgroup is found by
+        Works prime by prime, on the members of `hnf` in the parent's Sylow
+        list `_sylows[l]`.  A basis of each Sylow subgroup is found by
         repeatedly taking its first member x of largest order q modulo the
         span so far and lifting x to x*s, for the first s in the span with
         x*s of exact order q (such a lift exists because the span is a
-        direct summand at every step).  The span is a lattice.  q is the
-        exponent of Sylow/span, the least l^j with l^j*m*r in the span for
-        every row r of `hnf` (m = order / l-part: those scaled rows generate
-        the Sylow lattice), so x is the first member with x^(q/l) outside
-        the span.  The span's size is the product of the q's found so far,
-        since each new basis element meets the span only in the identity.
-        The per-prime bases are then merged into an invariant-factor chain,
-        largest factor first."""
-        if order == 1:
-            return (), ()
+        direct summand at every step).  The span is a lattice inside `hnf`.
+        q is the exponent of Sylow/span, the least l^j with l^j*m*r in the
+        span for every row r of `hnf` (m = order / l-part: those scaled rows
+        generate the Sylow lattice), so x is the first member with x^(q/l)
+        outside the span.  The span's size is the product of the q's found
+        so far, since each new basis element meets the span only in the
+        identity.  The per-prime bases are then merged into an
+        invariant-factor chain, largest factor first."""
+        if hnf in self._structures:
+            return self._structures[hnf]
         coords, moduli = self._dlog[0], self._dlog[3]
+        order = _lattice_order(moduli, hnf)
         per_prime = []  # [(order, generator_index), ...] descending, per prime
         for l in _prime_factors(order):
-            sylow = sylows[l]
-            m = order // _l_part(order, l)
-            rows = [[m * x for x in row] for row in hnf]
+            sylow, n = self._sylows[l], _l_part(order, l)
+            rows = [[order // n * x for x in row] for row in hnf]
             span, size, basis = _hnf(moduli, ()), 1, []
-            while size < len(sylow):
+            while size < n:
                 q = l
                 while not all(_in_lattice(span, [q * x for x in r]) for r in rows):
                     q *= l
                 e = q // l
-                x = next(x for x in sylow if not _in_lattice(span, [e * c for c in coords[x]]))
+                x = next(
+                    x for x in sylow
+                    if _in_lattice(hnf, coords[x])
+                    and not _in_lattice(span, [e * c for c in coords[x]])
+                )
                 for s in sylow:
                     if _in_lattice(span, coords[s]):
                         y = self.compose_idx(x, s)
@@ -295,12 +297,12 @@ class ClassGroup:
                     raise InternalInvariantError("no exact-order lift in coset")
                 basis.append((q, y))
                 size *= q
-                if size < len(sylow):
+                if size < n:
                     span = _hnf(moduli, span + (coords[y],))
             per_prime.append(basis)
 
         factors, gens = [], []
-        for i in range(max(map(len, per_prime))):
+        for i in range(max(map(len, per_prime), default=0)):
             d, g = 1, self.principal_index
             for basis in per_prime:
                 if i < len(basis):
@@ -313,7 +315,8 @@ class ClassGroup:
         # the generators must span the subgroup, each element exactly once
         if prod(factors) != order or self._lattice([coords[g] for g in gens]) != hnf:
             raise InternalInvariantError("abelian structure generators do not span")
-        return tuple(factors), tuple(gens)
+        structure = self._structures[hnf] = (tuple(factors), tuple(gens))
+        return structure
 
     @cached_property
     def _full_hnf(self):
@@ -330,9 +333,6 @@ class ClassGroup:
     def class_of(self, form: QuadForm) -> "IdealClass":
         return IdealClass(self, self.index_of(reduce(form)))
 
-    def all_classes(self):
-        return [IdealClass(self, i) for i in range(self.order)]
-
     def trivial_subgroup(self) -> "ClassSubgroup":
         return ClassSubgroup._of(self, self._lattice(()))
 
@@ -342,9 +342,7 @@ class ClassGroup:
     def structure(self):
         """(invariant_factors, generator_indices) with factors in a chain
         d_{i+1} | d_i, largest first."""
-        if self._structure is None:
-            self._structure = self._structure_of(self.order, self._full_hnf, self._sylows)
-        return self._structure
+        return self._structure_of(self._full_hnf)
 
     @property
     def invariant_factors(self):
@@ -386,8 +384,7 @@ def _dlog_table(cg: ClassGroup):
     coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t - 2]
     are a slice copy of those in [0, m_t - 2], one per value of the higher
     digits filled so far."""
-    h, index, principal = cg.order, cg._index, cg.principal_index
-    forms = list(index)  # the (a, b, c) tuples, in index order
+    h, index, principal, forms = cg.order, cg._index, cg.principal_index, cg.forms
     compose = _kernels.compose_reduced
 
     order, span = [principal], {principal}  # S in insertion order, and as a set
@@ -621,17 +618,8 @@ class ClassSubgroup:
         _check_same_group(self.group, cls.group)
         return _in_lattice(self.hnf, self.group._dlog[0][cls.index])
 
-    @property
-    def _sylows(self):
-        """The parent's Sylow lists for the primes l | |S|, cut to the members."""
-        coords, parent = self.group._dlog[0], self.group._sylows
-        return {
-            l: [x for x in parent[l] if _in_lattice(self.hnf, coords[x])]
-            for l in _prime_factors(self.order)
-        }
-
     def structure(self):
-        return self.group._structure_of(self.order, self.hnf, self._sylows)
+        return self.group._structure_of(self.hnf)
 
     @property
     def invariant_factors(self):
@@ -708,16 +696,6 @@ def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
 # -- lattices in discrete-log coordinates --------------------------------------
 
 
-def _xgcd(a: int, b: int):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
 def _hnf(moduli, vectors):
     """The Hermite normal form of the lattice spanned by the integer
     `vectors` (of length k = len(moduli)) and the rows of diag(moduli).
@@ -741,7 +719,7 @@ def _hnf(moduli, vectors):
             b = v[t]
             if b:
                 a = pivot[t]
-                g, x, y = _xgcd(a, b)
+                g, x, y = _kernels._ext_gcd(a, b)
                 pivot, v = (
                     [x * p + y * w for p, w in zip(pivot, v)],
                     [a // g * w - b // g * p for p, w in zip(pivot, v)],

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import cyclotomic, grouptree, realizable
 from . import steinitz as st
@@ -31,10 +31,6 @@ from .errors import (
 )
 
 
-def _field(disc: int) -> QuadField:
-    return QuadField(disc)
-
-
 def _structure_label(factors) -> str:
     if not factors:
         return "trivial"
@@ -43,13 +39,6 @@ def _structure_label(factors) -> str:
 
 def _forms_str(forms) -> str:
     return ", ".join(str(f) for f in forms) if forms else "-"
-
-
-def _structure_forms(sub):
-    """(invariant factors, generator forms) of a subgroup, from one
-    `structure()` call."""
-    factors, gens = sub.structure()
-    return factors, [sub.group.forms[i] for i in gens]
 
 
 def _emit(payload: dict, text: str, as_json: bool):
@@ -63,7 +52,7 @@ def _emit(payload: dict, text: str, as_json: bool):
 
 
 def _cmd_classgroup(args) -> int:
-    cg = _field(args.disc).class_group()
+    cg = QuadField(args.disc).class_group()
     payload = {
         "disc": cg.disc,
         "order": cg.order,
@@ -79,12 +68,12 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_wgroup(args) -> int:
-    field = _field(args.disc)
+    field = QuadField(args.disc)
     members = frozenset(int(x) for x in args.subgroup.split(","))
     s = cyclotomic.CycloSubgroup(args.modulus, members)
     wg = cyclotomic.w_group(field, args.modulus, s, bound=args.bound)
     sub = wg.subgroup
-    factors, gens = _structure_forms(sub)
+    factors, gens = sub.invariant_factors, sub.generator_forms()
     payload = {
         "disc": field.disc,
         "modulus": args.modulus,
@@ -124,7 +113,7 @@ def _parse_ram(spec: str):
 
 
 def _cmd_steinitz(args) -> int:
-    field = _field(args.disc)
+    field = QuadField(args.disc)
     ram = _parse_ram(args.ram) if args.ram else []
     cls = st.steinitz_from_ramification(field, ram, args.order)
     payload = {
@@ -180,13 +169,13 @@ def _tree(spec_text: str) -> grouptree.GroupTree:
 
 
 def _cmd_rt(args) -> int:
-    field = _field(args.disc)
+    field = QuadField(args.disc)
     with open(args.group, "r", encoding="utf-8") as fh:
         tree = _tree(fh.read())
     result = realizable.rt(field, tree, dedupe=not args.no_dedupe)
     sub = result.subgroup
     cg = sub.group
-    factors, gens = _structure_forms(sub)
+    factors, gens = sub.invariant_factors, sub.generator_forms()
     trace_file = None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -285,7 +274,7 @@ def _suite_classgroup(chk: _Check, field: QuadField):
     )
     chk.ok(
         "classgroup: invariant factors multiply to h",
-        _product(cg.invariant_factors) == n,
+        prod(cg.invariant_factors) == n,
     )
 
 
@@ -365,15 +354,8 @@ def _suite_rt(chk: _Check, field: QuadField):
     chk.ok("rt: result subgroup is closed", closed)
 
 
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def _cmd_check(args) -> int:
-    field = _field(args.disc)
+    field = QuadField(args.disc)
     chk = _Check()
     suites = {
         "classgroup": lambda: _suite_classgroup(chk, field),

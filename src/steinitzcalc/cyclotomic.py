@@ -47,10 +47,9 @@ from .errors import (
 DEFAULT_HARD_CEILING = 100_000_000
 INITIAL_BOUND_CAP = 1_000_000
 _SCAN_CHUNK = 1 << 16
-# Bounds of the per-modulus and per-tau caches (unit groups, Kronecker
-# kernels, realized exponents): far above what one corpus of trees meets.
+# Bound of the per-modulus caches (unit groups, Kronecker kernels): far
+# above what one corpus of trees meets.
 _MODULUS_CACHE_SIZE = 256
-_TAU_CACHE_SIZE = 1024
 
 
 def hard_ceiling() -> int:
@@ -114,9 +113,6 @@ class FixedFieldDescriptor:
     modulus: int
     members: tuple
 
-    def label(self) -> str:
-        return f"fixed field of {{{','.join(map(str, self.members))}}} in k(zeta_{self.modulus})"
-
 
 def fixed_field_descriptor(s: CycloSubgroup) -> FixedFieldDescriptor:
     return FixedFieldDescriptor(s.modulus, tuple(s.sorted_members()))
@@ -152,14 +148,21 @@ def galois_group(field: QuadField, m: int) -> CycloSubgroup:
     return _kronecker_kernel(field.disc, m)
 
 
-@lru_cache(maxsize=_TAU_CACHE_SIZE)
-def _realized_exponents(
-    g_tree: grouptree.GroupTree, mu: grouptree.Action, tau: grouptree.AbElement
-):
-    """(o(tau), { a mod o(tau) : mu(g1)(tau) = tau^a for some g1 }).
+def g_k_mu_tau(
+    field: QuadField,
+    g_tree: grouptree.GroupTree,
+    mu: grouptree.Action,
+    tau: grouptree.AbElement,
+) -> CycloSubgroup:
+    """Exponents a in Gal(k(zeta_o)/k) realized by the action on tau.
 
-    The field-independent part of `g_k_mu_tau`, with all of its checks: a
-    call that raises is not cached, so it raises again on a warm cache."""
+    Collects { a mod o(tau) : mu(g1)(tau) = tau^a for some g1 } and
+    intersects it with the Galois group.  This is a subgroup whenever mu is
+    an action (closure under products and inverses holds by the same
+    calculation that proves it abstractly); failure of that check here is
+    an internal error, not bad input.  `realizable._node_folds` caches the
+    results per node, so this runs once per (node, Galois groups).
+    """
     h = mu.h
     o = h.element_order(tau)
     if o == 1:
@@ -178,24 +181,6 @@ def _realized_exponents(
         a = powers.get(mu.apply(g_el, tau))
         if a is not None:
             realized.add(a)
-    return o, frozenset(realized)
-
-
-def g_k_mu_tau(
-    field: QuadField,
-    g_tree: grouptree.GroupTree,
-    mu: grouptree.Action,
-    tau: grouptree.AbElement,
-) -> CycloSubgroup:
-    """Exponents a in Gal(k(zeta_o)/k) realized by the action on tau.
-
-    Collects { a : mu(g1)(tau) = tau^a for some g1 } (once per (g_tree, mu,
-    tau), in `_realized_exponents`) and intersects it with the Galois group.
-    This is a subgroup whenever mu is an action (closure under products and
-    inverses holds by the same calculation that proves it abstractly);
-    failure of that check here is an internal error, not bad input.
-    """
-    o, realized = _realized_exponents(g_tree, mu, tau)
     members = galois_group(field, o).members & realized
     try:
         return CycloSubgroup(o, members)

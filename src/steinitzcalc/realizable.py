@@ -263,11 +263,10 @@ def _node_folds(field, h, g_tree, mu, m, dedupe):
 
 
 def clear_caches():
-    """Drop every cached W target, tau list, realized exponent set and
-    Galois group; answers do not depend on them."""
+    """Drop every cached W target, tau list and Galois group; answers do
+    not depend on them."""
     _fold_cache.clear()
     _tau_exponents.cache_clear()
-    cyclotomic._realized_exponents.cache_clear()
     cyclotomic._kronecker_kernel.cache_clear()
     cyclotomic.unit_group.cache_clear()
 

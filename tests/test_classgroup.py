@@ -295,21 +295,9 @@ SYLOW_DISCS = ACCEPT_DISCS + MIXED_DISCS + (-1000019, -2000003, -8000008, -80000
 
 @pytest.mark.parametrize("disc", SYLOW_DISCS)
 def test_sylow_lists_match_order_filter(disc):
-    # the coordinate Sylow lists against the order filter, on the full group
-    # and on seeded random subgroups built by generate, power and product
+    # the coordinate Sylow lists of the full group against the order filter
     cg = sc.class_group(disc)
-    h = cg.order
-    assert cg._sylows == sylows_by_order(range(h), cg.order_of_idx)
-    rng = random.Random(disc)
-    subs = [cg.trivial_subgroup(), cg.full_subgroup()]
-    for _ in range(4):
-        gens = [sc.IdealClass(cg, rng.randrange(h)) for _ in range(rng.randint(1, 3))]
-        a = sc.subgroup_generate(cg, gens)
-        e = rng.choice([2, 3, _prime_factors(h)[0] if h > 1 else 1, rng.randrange(1, h + 1)])
-        subs += [a, a.power(e), a.product(subs[-1]), a.power(e).product(subs[1].power(2))]
-    for sub in subs:
-        want = sylows_by_order(sub.members, cg.order_of_idx)
-        assert sub._sylows == want, sub.order
+    assert cg._sylows == sylows_by_order(range(cg.order), cg.order_of_idx)
 
 
 # -- splitting and prime classes ------------------------------------------------------

@@ -117,8 +117,9 @@ def _oracle_structure(s):
 @pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS + TWO_RANK_DISCS)
 def test_structure_matches_oracle(disc):
     # same factors and same generators on the full group and on seeded
-    # subgroups built by generate, power and product
-    cg = sc.class_group(disc)
+    # subgroups built by generate, power and product; the group is built
+    # here, not taken from the cache, so no structure comes from the memo
+    cg = sc.ClassGroup(disc)
     h = cg.order
     rng = random.Random(disc)
     full = cg.full_subgroup()
@@ -132,6 +133,14 @@ def test_structure_matches_oracle(disc):
     subs += [s.product(t) for s in subs[:3] for t in subs[3:6]]
     for s in subs:
         assert s.structure() == _oracle_structure(s), s.hnf
+
+
+@pytest.mark.parametrize("disc", (-23, -84, -8000008))
+def test_full_answer_reads_the_group_structure(disc):
+    # structures are memoized per lattice in the class group, so an answer
+    # that is the whole group shares the group's own structure
+    sub = sc.rt(sc.QuadField(disc), sc.dihedral_tree(3)).subgroup
+    assert sub.structure() is sc.class_group(disc).structure()
 
 
 def test_structure_raises_without_an_exact_order_lift(monkeypatch):
