@@ -1,11 +1,13 @@
 """Arithmetic kernels.
 
 These are the hot inner loops of the library: prime sieving, Kronecker
-symbols, square roots mod p, binary-quadratic-form reduction, enumeration
-and composition, and the fused "qualifying prime" scan used by the W-group
-enumeration.  They are plain Python; callers reach them through this module's
-attributes (`_kernels.reduced_forms(...)`), so a caller-side wrapper such as a
-profiler can replace one by assignment.
+symbols, square roots mod p, prime forms, binary-quadratic-form reduction and
+composition, and the fused "qualifying prime" scan used by the W-group
+enumeration.  A class group is built by composing prime forms
+(`classgroup._dlog_table`); `reduced_forms`, the enumeration of every reduced
+form, is only the oracle of that walk.  The kernels are plain Python; callers
+reach them through this module's attributes (`_kernels.compose_reduced(...)`),
+so a caller-side wrapper such as a profiler can replace one by assignment.
 
 All forms are positive definite: a > 0 and b*b - 4*a*c = D < 0.
 """
@@ -178,7 +180,7 @@ def prime_form(disc: int, p: int):
     elif disc % p == 0:
         b = 0 if disc % 2 == 0 else p
     else:
-        if kronecker(disc, p) != 1:
+        if pow(disc, (p - 1) // 2, p) != 1:  # Euler's criterion: p is inert
             return None
         r = sqrt_mod_prime(disc % p, p)
         b = r if (r - disc) % 2 == 0 else p - r
@@ -187,7 +189,9 @@ def prime_form(disc: int, p: int):
 
 
 def reduced_forms(disc: int) -> list:
-    """All reduced primitive forms of discriminant disc, sorted.
+    """All reduced primitive forms of discriminant disc, sorted: the oracle
+    of the class-group walk, which reaches every class from prime forms
+    without enumerating (`classgroup._dlog_table`).
 
     disc < 0 and disc = 0, 1 (mod 4); disc need not be fundamental.  A reduced
     form has |b| <= a <= c, so a*a <= -disc/3, and a*c = (b*b - disc)/4.  For

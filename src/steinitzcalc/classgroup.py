@@ -14,15 +14,17 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
 from .grouptree import _l_part, _prime_factors
 
-# Class groups are stored fully enumerated; beyond this the reduced-form
-# enumeration itself becomes the bottleneck and callers get a loud error.
+# Class groups are held in full: every class's reduced form and coordinates,
+# and a lookup table of fewer than 2^k * h entries.  Beyond this cap callers
+# get a loud error; it stays where it was set until the walk's time and
+# memory above it have been measured.
 MAX_ABS_DISC = 10_000_000
 
 
@@ -154,11 +156,12 @@ def splitting(p: int, field: QuadField) -> Splitting:
 
 
 class ClassGroup:
-    """The ideal class group of a QuadField, fully enumerated.
+    """The ideal class group of a QuadField, every class held in full.
 
-    Elements are indices into the sorted tuple of reduced forms.  The group
-    law on indices goes through a discrete-log table, built on first use
-    with O(h) kernel compositions (`_dlog_table`): each index has coordinates
+    Elements are indices into the sorted tuple of reduced forms.  The forms
+    and the discrete-log table come from one walk over the classes of the
+    prime forms with p <= sqrt(|D|/3), which generate the group
+    (`_dlog_table`): O(h) kernel compositions give each index coordinates
     in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
     arithmetic mod d_i and the order of an element is an lcm.  A subgroup is
     the lattice of its coordinates (`_lattice`, see ClassSubgroup).  The
@@ -171,18 +174,12 @@ class ClassGroup:
     """
 
     def __init__(self, disc: int):
-        if disc == 0:
-            self.disc = 0
-            tuples = [(1, 0, 0)]
-        else:
-            QuadField(disc)  # validation
-            self.disc = disc
-            tuples = _kernels.reduced_forms(disc)
-        self.forms = tuple(map(QuadForm._make, tuples))
-        self._index = dict(zip(tuples, range(len(tuples))))
-        self.principal_index = (
-            0 if disc == 0 else self._index[principal_form(disc).as_tuple()]
-        )
+        QuadField(disc)  # validation
+        self.disc = disc
+        forms, self._dlog = _dlog_table(disc)
+        self.forms = tuple(map(QuadForm._make, forms))
+        self._index = dict(zip(self.forms, range(len(forms))))  # a tuple finds its form
+        self.principal_index = self._index[principal_form(disc)]
         self._structures = {}  # hnf -> structure, filled by _structure_of
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
 
@@ -208,12 +205,6 @@ class ClassGroup:
             return self._index[form.as_tuple()]
         except KeyError:
             raise InadmissibleError(f"{form} is not a reduced form of disc {self.disc}")
-
-    @cached_property
-    def _dlog(self):
-        """The discrete-log table (coords, codes, lut, moduli, weights) built
-        by `_dlog_table`."""
-        return _dlog_table(self)
 
     def compose_idx(self, i: int, j: int) -> int:
         _, codes, lut, _, _ = self._dlog
@@ -353,8 +344,9 @@ class ClassGroup:
         return tuple(self.forms[i] for i in self.structure()[1])
 
 
-def _dlog_table(cg: ClassGroup):
-    """The discrete-log table of `cg`: (coords, codes, lut, moduli, weights).
+def _dlog_table(disc: int):
+    """(forms, (coords, codes, lut, moduli, weights)): the sorted reduced
+    forms of discriminant disc and their discrete-log table, from one walk.
 
     coords[i] is the coordinate tuple of index i in Z/moduli[0] + ... +
     Z/moduli[-1].  codes[i] is sum(c_t * weights[t]) in the mixed radix
@@ -365,85 +357,101 @@ def _dlog_table(cg: ClassGroup):
     codes[j]], and powers and inverses look up the code of the scaled
     coordinates.
 
-    The build walks the indices in sorted order; an index g outside the span
-    S of the generators so far becomes the next generator g_j, and the
-    cosets S*g, S*g^2, ... are appended to the insertion order one at a
+    Every class holds a reduced form (a, b, c) with a <= sqrt(|D|/3), whose
+    ideal is a product of prime ideals of norm p <= a (an inert p gives the
+    principal ideal (p)).  So the classes of the prime forms with p <=
+    isqrt(|D| // 3) generate the group (Cohen, GTM 138, sections 5.3-5.4),
+    and no reduced form is enumerated.  The walk starts at the principal
+    form and takes those primes in increasing order; a reduced prime form
+    outside the span S of the generators so far becomes the next generator
+    g_j, and the cosets S*g, S*g^2, ... are appended to the walk one at a
     time, one kernel composition per new element: the element at position p
     of a coset is the one at p - |S| times g.  So the position p of an
-    element is its back-pointer: with M_j = |S| it is order[p mod M_j] *
+    element is its back-pointer: with M_j = |S| it is walk[p mod M_j] *
     g_j^(p div M_j), and the mixed-radix digits of p are its exponent vector
     over the generators.  The first g^n found in S gives the relation n*e_j =
     exponents(g^n), read off its position.  The relations form a
     lower-triangular k x k matrix R with k <= log2(h); with U*R*V = diag(d)
     for unimodular U and V, an exponent vector a has coordinates (a*V)_t mod
     d_t, of which those with d_t > 1 are kept (Cohen, GTM 138, section 2.4).
-    Each kept coordinate is filled in insertion order, coset by coset, as
-    (coordinate of the back-pointer + n * V[j][t]) mod d_t.
+    Each kept coordinate is filled in walk order, coset by coset, as
+    (coordinate of the back-pointer + n * V[j][t]) mod d_t.  The h walked
+    forms are then sorted, and codes and coordinates follow them.
 
-    `lut` gets each index at its code, then its digits are widened one
-    coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t - 2]
-    are a slice copy of those in [0, m_t - 2], one per value of the higher
-    digits filled so far."""
-    h, index, principal, forms = cg.order, cg._index, cg.principal_index, cg.forms
-    compose = _kernels.compose_reduced
+    `lut` gets each sorted index at its code, then its digits are widened
+    one coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t
+    - 2] are a slice copy of those in [0, m_t - 2], one per value of the
+    higher digits filled so far.
 
-    order, span = [principal], {principal}  # S in insertion order, and as a set
+    A kernel that breaks the group law is caught on the way: the principal
+    form must fix each generator, no class may be walked twice, and the
+    codes must be h distinct points of a group of order prod(moduli) = h."""
+    compose, reduce = _kernels.compose_reduced, _kernels.reduce_form
+    principal = tuple(principal_form(disc))
+    walk, position = [principal], {principal: 0}
     cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
-    for g in range(h):
-        if g in span:
+    for p in _walk_primes(isqrt(-disc // 3)):
+        f = _kernels.prime_form(disc, p)
+        if f is None:
             continue
-        a2, b2, c2 = forms[g]
-        m, n = len(order), 1
-        while True:
-            start = (n - 1) * m
-            first = index[compose(*forms[order[start]], a2, b2, c2)]  # g^n
-            if first in span:  # n e_j = the digits of first's position
-                p = order.index(first)
-                relations.append([-(p // m_i % n_i) for m_i, n_i in cosets] + [n])
-                break
-            coset = [first] + [
-                index[compose(*forms[x], a2, b2, c2)] for x in order[start + 1:start + m]
-            ]
-            order += coset
-            span.update(coset)
-            n += 1
+        g = reduce(*f)
+        if g in position:
+            continue
+        first = compose(*principal, *g)
+        if first != g:
+            raise InternalInvariantError(f"principal form of disc {disc} moves the class {g}")
+        m = len(walk)
+        while first not in position:  # first = g^n starts the next coset
+            start = len(walk) - m
+            position[first] = len(walk)
+            walk.append(first)
+            for x in walk[start + 1:start + m]:
+                x = compose(*x, *g)
+                position[x] = len(walk)
+                walk.append(x)
+            first = compose(*walk[start + m], *g)
+        n, q = len(walk) // m, position[first]  # n e_j = the digits of g^n's position
+        relations.append([-(q // m_i % n_i) for m_i, n_i in cosets] + [n])
         cosets.append((m, n))
 
-    k = len(relations)
+    h, k = len(walk), len(relations)
     d, v = _diagonalize([r + [0] * (k - len(r)) for r in relations])
     keep = [t for t in range(k) if d[t] > 1]
     moduli = tuple(d[t] for t in keep)
     weights = [prod(2 * m - 1 for m in moduli[:t]) for t in range(len(moduli))]
 
-    columns = []  # each kept coordinate of the elements in insertion order
+    columns = []  # each kept coordinate of the elements in walk order
     for t in keep:
         col, dt = [0], d[t]
-        for (m, r), row in zip(cosets, v):
-            for n in range(1, r):
-                shift = n * row[t] % dt
-                col += [(c + shift) % dt for c in col[:m]]
+        for (_, r), row in zip(cosets, v):  # walk order: coset by coset
+            col = [(c + n * row[t]) % dt for n in range(r) for c in col]
         columns.append(col)
     codes = [0] * h
     for col, w in zip(columns, weights):
         codes = [code + c * w for code, c in zip(codes, col)]
-    if len(set(codes)) != h or prod(moduli) != h:
-        raise InternalInvariantError(f"discrete-log table of disc {cg.disc} is not a bijection")
+    if len(position) != h or len(set(codes)) != h or prod(moduli) != h:
+        raise InternalInvariantError(f"discrete-log table of disc {disc} is not a bijection")
 
+    ranked = sorted(range(h), key=walk.__getitem__)  # walk positions, by form
+    codes = [codes[p] for p in ranked]
+    coords = list(zip(*columns)) if columns else [()] * h
+    coords = [coords[p] for p in ranked]
     lut = [0] * prod(2 * m - 1 for m in moduli)
-    for code, x in zip(codes, order):
-        lut[code] = x
+    for i, code in enumerate(codes):
+        lut[code] = i
     for t, (m, w) in enumerate(zip(moduli, weights)):
         prefixes = [0]  # the higher digits s_u in [0, m_u - 1]
         for mu, wu in zip(moduli[t + 1:], weights[t + 1:]):
             prefixes = [p + s * wu for p in prefixes for s in range(mu)]
         for p in prefixes:
             lut[p + m * w:p + (2 * m - 1) * w] = lut[p:p + (m - 1) * w]
+    return [walk[p] for p in ranked], (coords, codes, lut, moduli, weights)
 
-    position = [0] * h
-    for p, x in enumerate(order):
-        position[x] = p
-    coords = list(zip(*columns)) if columns else [()] * h
-    return [coords[p] for p in position], [codes[p] for p in position], lut, moduli, weights
+
+@lru_cache(maxsize=16)
+def _walk_primes(bound: int) -> tuple:
+    """The primes p <= bound.  Cached: nearby discriminants share a bound."""
+    return tuple(_kernels.primes_in_range(2, bound + 1))
 
 
 def _diagonalize(rows):

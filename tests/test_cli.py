@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import cli, realizable
+from steinitzcalc import _kernels, cli, realizable
 from steinitzcalc.cli import main
 
 
@@ -249,6 +249,21 @@ def test_untraced_rt_lists_no_member_forms(monkeypatch):
     monkeypatch.setattr(realizable, "_forms", lambda sub: calls.append(sub) or forms(sub))
     _rt_json_over_specs(-1000019)
     assert calls == []
+
+
+def test_rt_does_not_enumerate_reduced_forms(monkeypatch):
+    # the class group comes from the prime-form walk; the enumeration is
+    # only the walk's test oracle
+    def enumerate_forms(disc):
+        raise AssertionError(f"reduced_forms({disc}) called")
+
+    monkeypatch.setattr(_kernels, "reduced_forms", enumerate_forms)
+    assert sc.ClassGroup(-100003).invariant_factors == (39,)
+    sc.class_group.cache_clear()  # rt builds its group cold too
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["rt", "--disc", "-100003", "--group", str(SPEC_DIR / "D3.json"), "--json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["rt"]["order"] >= 1
 
 
 MALFORMED_SPECS = {

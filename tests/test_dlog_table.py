@@ -1,20 +1,23 @@
-"""The discrete-log table against the build it replaced.
+"""The class-group walk against its oracles.
 
-`dlog_table_oracle` is the earlier `classgroup._dlog_table`, kept verbatim
-as the oracle: it carries every element's exponent vector through the walk,
-changes coordinates per element and builds `lut` by reducing every digit
-vector through a dict.  The production build must return the same five
-fields on small, composite, large and sampled discriminants.
+`dlog_table_oracle` is an earlier `classgroup._dlog_table`, kept verbatim:
+it walks the sorted reduced forms instead of prime forms, carries every
+element's exponent vector through the walk, changes coordinates per element
+and builds `lut` by reducing every digit vector through a dict.  Its
+generators are other classes than the walk's, so its coordinates differ;
+the production table must give the same group law, inverses and orders.
+`_kernels.reduced_forms` is the oracle of the walk's forms, and genus
+theory of its 2-rank.
 """
 
 import random
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
 from steinitzcalc import _kernels
-from steinitzcalc.classgroup import ClassGroup, _diagonalize, _dlog_table, is_fundamental
+from steinitzcalc.classgroup import ClassGroup, _diagonalize, is_fundamental
 from steinitzcalc.errors import InternalInvariantError
 from steinitzcalc.grouptree import _prime_factors
 
@@ -107,23 +110,57 @@ def test_sample_covers_ranks_one_to_four():
     assert {1, 2, 3, 4} <= ranks
 
 
-@pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS + tuple(SAMPLED_DISCS))
+ORACLE_DISCS = ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS + tuple(SAMPLED_DISCS)
+
+
+@pytest.mark.parametrize("disc", ORACLE_DISCS)
 def test_table_matches_oracle(disc):
+    # the unit vectors of the oracle's coordinates generate the group; two
+    # associative laws that agree on i * g for every i and every generator g
+    # agree everywhere, since then i * (g * g') = (i * g) * g' in both
     cg = ClassGroup(disc)
-    coords, codes, lut, moduli, weights = _dlog_table(cg)
-    want_coords, want_codes, want_lut, want_moduli, want_weights = dlog_table_oracle(cg)
-    assert moduli == want_moduli
-    assert weights == want_weights
-    assert coords == want_coords
-    assert codes == want_codes
-    assert lut == want_lut
+    coords, codes, lut, moduli, weights = dlog_table_oracle(cg)
+    assert prod(cg._dlog[3]) == prod(moduli) == cg.order
+    for g in [lut[w] for w in weights]:
+        for i in range(cg.order):
+            assert cg.compose_idx(i, g) == lut[codes[i] + codes[g]]
+    for i in range(cg.order):
+        inverse = [-x % d * w for x, d, w in zip(coords[i], moduli, weights)]
+        assert cg.inverse_idx(i) == lut[sum(inverse)]
+        assert cg.order_of_idx(i) == lcm(*[d // gcd(x, d) for x, d in zip(coords[i], moduli)])
+
+
+@pytest.mark.parametrize("disc", ORACLE_DISCS)
+def test_walk_finds_every_reduced_form(disc):
+    assert list(ClassGroup(disc).forms) == _kernels.reduced_forms(disc)
+
+
+def test_walk_finds_every_reduced_form_below_20000():
+    discs = [d for d in range(-3, -20001, -1) if is_fundamental(d)]
+    assert len(discs) == 6079
+    for disc in discs:
+        assert list(ClassGroup(disc).forms) == _kernels.reduced_forms(disc), disc
+
+
+@pytest.mark.parametrize("disc", ORACLE_DISCS)
+def test_two_rank_is_genus_number(disc):
+    # genus theory: Cl/Cl^2 has order 2^(mu - 1), mu = #{primes dividing D}
+    factors = ClassGroup(disc).structure()[0]
+    assert sum(1 for d in factors if d % 2 == 0) == len(_prime_factors(-disc)) - 1
 
 
 def test_table_rejects_a_broken_group_law(monkeypatch):
-    # every composition lands on the principal class: each generator closes
-    # at once, all coordinates collapse, and the build must say so
-    cg = ClassGroup(-84)
-    principal = cg.forms[cg.principal_index].as_tuple()
-    monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: principal)
+    # every composition lands on the principal class: each generator would
+    # close at once and the walk would collapse to one class, so the kernel
+    # is patched before the build and the walk must say so
+    monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: (1, 0, 21))
+    with pytest.raises(InternalInvariantError, match="moves the class"):
+        ClassGroup(-84)
+
+
+def test_walk_rejects_a_class_walked_twice(monkeypatch):
+    # x * g = g: the principal form fixes every generator and the first one
+    # looks like an involution, but the second one's coset walks onto itself
+    monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: forms[3:])
     with pytest.raises(InternalInvariantError, match="not a bijection"):
-        cg.compose_idx(1, 2)
+        ClassGroup(-84)
