@@ -11,6 +11,7 @@ kernels.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -21,10 +22,10 @@ from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
 from .grouptree import _l_part, _prime_factors
 
-# Class groups are held in full: every class's reduced form and coordinates,
-# and a lookup table of fewer than 2^k * h entries.  Beyond this cap callers
-# get a loud error; it stays where it was set until the walk's time and
-# memory above it have been measured.
+# Class groups are held in full: the sorted reduced forms (lookups bisect
+# them), a code per class whose digits are its coordinates, and a table of
+# fewer than 2^k * h entries.  Beyond this cap callers get a loud error; it
+# stays until the walk's time and memory above it have been measured.
 MAX_ABS_DISC = 10_000_000
 
 
@@ -158,19 +159,20 @@ def splitting(p: int, field: QuadField) -> Splitting:
 class ClassGroup:
     """The ideal class group of a QuadField, every class held in full.
 
-    Elements are indices into the sorted tuple of reduced forms.  The forms
-    and the discrete-log table come from one walk over the classes of the
-    prime forms with p <= sqrt(|D|/3), which generate the group
-    (`_dlog_table`): O(h) kernel compositions give each index coordinates
-    in Z/d_1 + ... + Z/d_k, so composition, powers and inverses are vector
-    arithmetic mod d_i and the order of an element is an lcm.  A subgroup is
-    the lattice of its coordinates (`_lattice`, see ClassSubgroup).  The
-    invariant-factor structure and matching generators of a subgroup are a
-    function of its lattice: `_structure_of` computes them in the same
-    coordinates on first use and keeps them in `_structures`, keyed by the
-    lattice, so the group and every subgroup with that lattice share one
-    answer.  `_w_cache` keeps `cyclotomic.w_norm_character`'s W-groups.
-    Both live and die with the group (`class_group.cache_clear()`).
+    Elements are indices into the sorted reduced forms (`index_of` bisects
+    them).  Forms and discrete-log table come from one walk over the prime
+    forms with p <= sqrt(|D|/3), which generate the group (`_dlog_table`):
+    O(h) kernel compositions give each index a code, whose digits
+    (`_coords`) are its coordinates in Z/d_1 + ... + Z/d_k, so composition,
+    powers and inverses are vector arithmetic mod d_i, orders are lcms, and
+    each class keeps only its form and code.  A subgroup is the lattice of
+    its coordinates (`_lattice`, see ClassSubgroup).  The invariant-factor
+    structure and matching generators of a subgroup are a function of its
+    lattice: `_structure_of` computes them in the same coordinates on first
+    use and keeps them in `_structures`, keyed by the lattice, so the group
+    and every subgroup with that lattice share one answer.  `_w_cache` keeps
+    `cyclotomic.w_norm_character`'s W-groups.  Both live and die with the
+    group (`class_group.cache_clear()`).
     """
 
     def __init__(self, disc: int):
@@ -178,8 +180,7 @@ class ClassGroup:
         self.disc = disc
         forms, self._dlog = _dlog_table(disc)
         self.forms = tuple(map(QuadForm._make, forms))
-        self._index = dict(zip(self.forms, range(len(forms))))  # a tuple finds its form
-        self.principal_index = self._index[principal_form(disc)]
+        self.principal_index = self.index_of(principal_form(disc))
         self._structures = {}  # hnf -> structure, filled by _structure_of
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
 
@@ -200,48 +201,52 @@ class ClassGroup:
 
     # -- index arithmetic --------------------------------------------------
 
-    def index_of(self, form: QuadForm) -> int:
-        try:
-            return self._index[form.as_tuple()]
-        except KeyError:
-            raise InadmissibleError(f"{form} is not a reduced form of disc {self.disc}")
+    def index_of(self, form) -> int:
+        i = bisect_left(self.forms, form)  # form: a QuadForm or (a, b, c)
+        if i == len(self.forms) or self.forms[i] != form:
+            raise InadmissibleError(
+                f"{QuadForm(*form)} is not a reduced form of disc {self.disc}"
+            )
+        return i
 
     def compose_idx(self, i: int, j: int) -> int:
-        _, codes, lut, _, _ = self._dlog
+        codes, lut, _, _ = self._dlog
         return lut[codes[i] + codes[j]]
 
     def inverse_idx(self, i: int) -> int:
-        coords, _, lut, moduli, weights = self._dlog
-        return lut[sum([-x % d * w for x, d, w in zip(coords[i], moduli, weights)])]
+        return self._at([-x for x in self._coords(i)])
 
     def pow_idx(self, i: int, e: int) -> int:
-        coords, _, lut, moduli, weights = self._dlog
-        return lut[sum([x * e % d * w for x, d, w in zip(coords[i], moduli, weights)])]
+        return self._at([x * e for x in self._coords(i)])
 
     def order_of_idx(self, i: int) -> int:
-        coords, _, _, moduli, _ = self._dlog
-        return lcm(*[d // gcd(x, d) for x, d in zip(coords[i], moduli)])
+        return lcm(*[d // gcd(x, d) for x, d in zip(self._coords(i), self._dlog[2])])
 
     @cached_property
     def _sylows(self):
         """{l: sorted indices of the Sylow l-subgroup} for the primes l | h:
         the classes whose coordinate t is a multiple of d_t / l^v_l(d_t)."""
-        _, _, lut, moduli, weights = self._dlog
+        _, lut, moduli, weights = self._dlog
         out = {}
         for l in _prime_factors(self.order):
             steps = [range(0, d * w, d // _l_part(d, l) * w) for d, w in zip(moduli, weights)]
             out[l] = sorted(lut[sum(c)] for c in product(*steps))
         return out
 
+    def _coords(self, i: int) -> tuple:
+        """The coordinates of index i: the mixed-radix digits of its code."""
+        codes, _, moduli, weights = self._dlog
+        return tuple([codes[i] // w % (2 * d - 1) for d, w in zip(moduli, weights)])
+
     def _at(self, vector) -> int:
         """The index whose coordinates are `vector` taken mod the d_i."""
-        _, _, lut, moduli, weights = self._dlog
+        _, lut, moduli, weights = self._dlog
         return lut[sum([x % d * w for x, d, w in zip(vector, moduli, weights)])]
 
     def _lattice(self, vectors):
         """The Hermite normal form of the coordinate vectors `vectors`
         stacked on diag(d_i): the subgroup they generate (see `_hnf`)."""
-        return _hnf(self._dlog[3], vectors)
+        return _hnf(self._dlog[2], vectors)
 
     def _structure_of(self, hnf):
         """(invariant_factors, generator_indices) of the subgroup with
@@ -262,7 +267,7 @@ class ClassGroup:
         invariant-factor chain, largest factor first."""
         if hnf in self._structures:
             return self._structures[hnf]
-        coords, moduli = self._dlog[0], self._dlog[3]
+        coords, moduli = self._coords, self._dlog[2]
         order = _lattice_order(moduli, hnf)
         per_prime = []  # [(order, generator_index), ...] descending, per prime
         for l in _prime_factors(order):
@@ -275,12 +280,11 @@ class ClassGroup:
                     q *= l
                 e = q // l
                 x = next(
-                    x for x in sylow
-                    if _in_lattice(hnf, coords[x])
-                    and not _in_lattice(span, [e * c for c in coords[x]])
+                    x for x, c in zip(sylow, map(coords, sylow))
+                    if _in_lattice(hnf, c) and not _in_lattice(span, [e * v for v in c])
                 )
                 for s in sylow:
-                    if _in_lattice(span, coords[s]):
+                    if _in_lattice(span, coords(s)):
                         y = self.compose_idx(x, s)
                         if self.order_of_idx(y) == q:
                             break
@@ -289,7 +293,7 @@ class ClassGroup:
                 basis.append((q, y))
                 size *= q
                 if size < n:
-                    span = _hnf(moduli, span + (coords[y],))
+                    span = _hnf(moduli, span + (coords(y),))
             per_prime.append(basis)
 
         factors, gens = [], []
@@ -304,7 +308,7 @@ class ClassGroup:
             gens.append(g)
 
         # the generators must span the subgroup, each element exactly once
-        if prod(factors) != order or self._lattice([coords[g] for g in gens]) != hnf:
+        if prod(factors) != order or self._lattice([coords(g) for g in gens]) != hnf:
             raise InternalInvariantError("abelian structure generators do not span")
         structure = self._structures[hnf] = (tuple(factors), tuple(gens))
         return structure
@@ -312,7 +316,7 @@ class ClassGroup:
     @cached_property
     def _full_hnf(self):
         """The identity matrix: the lattice of the whole group."""
-        k = len(self._dlog[3])
+        k = len(self._dlog[2])
         return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
     # -- public element / subgroup API --------------------------------------
@@ -345,17 +349,17 @@ class ClassGroup:
 
 
 def _dlog_table(disc: int):
-    """(forms, (coords, codes, lut, moduli, weights)): the sorted reduced
-    forms of discriminant disc and their discrete-log table, from one walk.
+    """(forms, (codes, lut, moduli, weights)): the sorted reduced forms of
+    discriminant disc and their discrete-log table, from one walk.
 
-    coords[i] is the coordinate tuple of index i in Z/moduli[0] + ... +
-    Z/moduli[-1].  codes[i] is sum(c_t * weights[t]) in the mixed radix
-    weights[t + 1] = weights[t] * (2 * moduli[t] - 1), wide enough that the
-    sum of two codes has no carries; lut maps every code whose digits s_t
-    lie in [0, 2 * moduli[t] - 2] to the index at (s_t mod moduli[t]), fewer
-    than 2^k * h entries for k moduli.  So composition is lut[codes[i] +
-    codes[j]], and powers and inverses look up the code of the scaled
-    coordinates.
+    Index i has coordinates c_t in Z/moduli[0] + ... + Z/moduli[-1], kept
+    only as the digits of codes[i] = sum(c_t * weights[t]) in the mixed
+    radix weights[t + 1] = weights[t] * (2 * moduli[t] - 1), wide enough
+    that the sum of two codes has no carries; lut maps every code whose
+    digits s_t lie in [0, 2 * moduli[t] - 2] to the index at (s_t mod
+    moduli[t]), fewer than 2^k * h entries for k moduli.  So composition is
+    lut[codes[i] + codes[j]], and powers and inverses look up the code of
+    the scaled coordinates (`ClassGroup._coords` reads the digits back).
 
     Every class holds a reduced form (a, b, c) with a <= sqrt(|D|/3), whose
     ideal is a product of prime ideals of norm p <= a (an inert p gives the
@@ -375,8 +379,8 @@ def _dlog_table(disc: int):
     for unimodular U and V, an exponent vector a has coordinates (a*V)_t mod
     d_t, of which those with d_t > 1 are kept (Cohen, GTM 138, section 2.4).
     Each kept coordinate is filled in walk order, coset by coset, as
-    (coordinate of the back-pointer + n * V[j][t]) mod d_t.  The h walked
-    forms are then sorted, and codes and coordinates follow them.
+    (coordinate of the back-pointer + n * V[j][t]) mod d_t and summed into
+    the codes, which then follow the sorted forms.
 
     `lut` gets each sorted index at its code, then its digits are widened
     one coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t
@@ -420,22 +424,17 @@ def _dlog_table(disc: int):
     moduli = tuple(d[t] for t in keep)
     weights = [prod(2 * m - 1 for m in moduli[:t]) for t in range(len(moduli))]
 
-    columns = []  # each kept coordinate of the elements in walk order
-    for t in keep:
+    codes = [0] * h
+    for t, w in zip(keep, weights):  # each kept coordinate, added digit by digit
         col, dt = [0], d[t]
         for (_, r), row in zip(cosets, v):  # walk order: coset by coset
             col = [(c + n * row[t]) % dt for n in range(r) for c in col]
-        columns.append(col)
-    codes = [0] * h
-    for col, w in zip(columns, weights):
         codes = [code + c * w for code, c in zip(codes, col)]
     if len(position) != h or len(set(codes)) != h or prod(moduli) != h:
         raise InternalInvariantError(f"discrete-log table of disc {disc} is not a bijection")
 
     ranked = sorted(range(h), key=walk.__getitem__)  # walk positions, by form
     codes = [codes[p] for p in ranked]
-    coords = list(zip(*columns)) if columns else [()] * h
-    coords = [coords[p] for p in ranked]
     lut = [0] * prod(2 * m - 1 for m in moduli)
     for i, code in enumerate(codes):
         lut[code] = i
@@ -445,7 +444,7 @@ def _dlog_table(disc: int):
             prefixes = [p + s * wu for p in prefixes for s in range(mu)]
         for p in prefixes:
             lut[p + m * w:p + (2 * m - 1) * w] = lut[p:p + (m - 1) * w]
-    return [walk[p] for p in ranked], (coords, codes, lut, moduli, weights)
+    return [walk[p] for p in ranked], (codes, lut, moduli, weights)
 
 
 @lru_cache(maxsize=16)
@@ -556,7 +555,8 @@ class ClassSubgroup:
     proves it is a subgroup: one scan of the sorted members grows the
     lattice by each member it does not contain yet (`_grow`), those members
     become the generators, and the set is a subgroup exactly when it has as
-    many members as the lattice and they are the lattice's members."""
+    many members as the lattice and they are the lattice's members; it is
+    not kept, so a cached W-group holds no member set until one is read."""
 
     def __init__(self, group: ClassGroup, members):
         members = frozenset(members)
@@ -564,7 +564,7 @@ class ClassSubgroup:
             raise InadmissibleError("subgroup must contain the principal class")
         hnf, gens = _grow(group, group._lattice(()), sorted(members), len(members))
         self._set(group, hnf, gens)
-        if self.order != len(members) or self.members != members:
+        if self.order != len(members) or self._members() != members:
             raise InadmissibleError("member set is not a subgroup")
 
     @classmethod
@@ -590,7 +590,7 @@ class ClassSubgroup:
 
     @property
     def order(self) -> int:
-        return _lattice_order(self.group._dlog[3], self.hnf)
+        return _lattice_order(self.group._dlog[2], self.hnf)
 
     @property
     def index_in_parent(self) -> int:
@@ -602,11 +602,10 @@ class ClassSubgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    @cached_property
-    def members(self) -> frozenset:
+    def _members(self) -> frozenset:
         """The member indices: the lattice points c_1*row_1 + ... +
         c_k*row_k with 0 <= c_t < d_t / h_t, one per member."""
-        _, codes, lut, moduli, _ = self.group._dlog
+        codes, lut, moduli, _ = self.group._dlog
         points = [0]  # codes of the points so far
         for t, row in enumerate(self.hnf):
             step = codes[self.group._at(row)]
@@ -616,6 +615,8 @@ class ClassSubgroup:
             points = [codes[lut[a + b]] for a in points for b in multiples]
         return frozenset([lut[a] for a in points])
 
+    members = cached_property(_members)  # enumerated on first read
+
     def sorted_members(self):
         return sorted(self.members)
 
@@ -624,7 +625,7 @@ class ClassSubgroup:
 
     def contains_class(self, cls: IdealClass) -> bool:
         _check_same_group(self.group, cls.group)
-        return _in_lattice(self.hnf, self.group._dlog[0][cls.index])
+        return _in_lattice(self.hnf, self.group._coords(cls.index))
 
     def structure(self):
         return self.group._structure_of(self.hnf)
@@ -687,7 +688,7 @@ def prime_class(p: int, field: QuadField, conjugate: bool = False) -> IdealClass
     if conjugate:
         b = -b
     cg = class_group(field.disc)
-    return IdealClass(cg, cg._index[_kernels.reduce_form(a, b, c)])
+    return IdealClass(cg, cg.index_of(_kernels.reduce_form(a, b, c)))
 
 
 def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
@@ -697,8 +698,7 @@ def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
         _check_same_group(cg, g.group)
         gen_idx.add(g.index)
     gen_idx = sorted(gen_idx)
-    coords = cg._dlog[0]
-    return ClassSubgroup._of(cg, cg._lattice([coords[i] for i in gen_idx]), gen_idx)
+    return ClassSubgroup._of(cg, cg._lattice([cg._coords(i) for i in gen_idx]), gen_idx)
 
 
 # -- lattices in discrete-log coordinates --------------------------------------
@@ -771,14 +771,14 @@ def _grow(cg: ClassGroup, hnf, candidates, stop: int):
     in order, that it does not contain yet, and the list of those indices.
     The scan ends once the lattice has `stop` members or more; a candidate
     met after that is in the lattice or the caller has to reject it."""
-    coords, moduli = cg._dlog[0], cg._dlog[3]
+    moduli = cg._dlog[2]
     grown = []
     size = _lattice_order(moduli, hnf)
-    for x in candidates:
+    for x, c in zip(candidates, map(cg._coords, candidates)):
         if size >= stop:
             break
-        if not _in_lattice(hnf, coords[x]):
-            hnf = _hnf(moduli, hnf + (coords[x],))
+        if not _in_lattice(hnf, c):
+            hnf = _hnf(moduli, hnf + (c,))
             grown.append(x)
             size = _lattice_order(moduli, hnf)
     return hnf, grown

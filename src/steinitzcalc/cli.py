@@ -69,8 +69,7 @@ def _cmd_classgroup(args) -> int:
 
 def _cmd_wgroup(args) -> int:
     field = QuadField(args.disc)
-    members = frozenset(int(x) for x in args.subgroup.split(","))
-    s = cyclotomic.CycloSubgroup(args.modulus, members)
+    s = cyclotomic.CycloSubgroup(args.modulus, frozenset(map(_int, args.subgroup.split(","))))
     wg = cyclotomic.w_group(field, args.modulus, s, bound=args.bound)
     sub = wg.subgroup
     factors, gens = sub.invariant_factors, sub.generator_forms()
@@ -96,19 +95,20 @@ def _cmd_wgroup(args) -> int:
     return 0
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InadmissibleError(f"bad integer {token!r}") from None
+
+
 def _parse_ram(spec: str):
     out = []
     for token in spec.split(","):
-        parts = token.split(":")
-        if len(parts) == 2:
-            p, e = parts
-            conj = False
-        elif len(parts) == 3 and parts[2] == "conj":
-            p, e = parts[:2]
-            conj = True
-        else:
+        parts = token.split(":")  # p:e or p:e:conj
+        if len(parts) < 2 or parts[2:] not in ([], ["conj"]):
             raise InadmissibleError(f"bad ramification token {token!r} (want p:e)")
-        out.append(st.RamificationDatum(int(p), int(e), conj))
+        out.append(st.RamificationDatum(_int(parts[0]), _int(parts[1]), len(parts) == 3))
     return out
 
 

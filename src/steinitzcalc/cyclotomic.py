@@ -324,7 +324,7 @@ def w_group(
                 field.disc, m, s.members, chunk_lo, chunk_hi
             )
             n_qual += len(found)  # distinct forms, enough for the "seen one" rule
-            fresh = {cg._index[t] for t in found} - seen
+            fresh = {cg.index_of(t) for t in found} - seen
             if fresh:
                 new += len(fresh)
                 seen.update(fresh)

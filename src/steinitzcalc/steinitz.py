@@ -166,8 +166,8 @@ def beta_l(l: int, o_tau: int, n: int) -> int:
 def w_exponent(l: int, o_tau: int, m: int, n: int) -> int:
     """((l-1)/2) * m*n / o(tau): the exponent on W(k, E) in the semidirect
     product formula (|G| = m*n with |H| = n)."""
-    if l == 2:
-        raise InadmissibleError("l must be odd")
+    if l == 2 or m < 1 or n < 1:
+        raise InadmissibleError(f"need odd l and m, n >= 1, got l={l}, m={m}, n={n}")
     if o_tau % l or n % o_tau:
         raise InadmissibleError(
             f"need l | o(tau) | n, got l={l}, o={o_tau}, n={n}"

@@ -103,6 +103,26 @@ def test_exponents_subcommand(capture):
     assert data["beta"] == 1 and data["w_exponent"] == 2
 
 
+WGROUP = ("wgroup", "--disc", "-84", "--modulus", "3", "--subgroup")
+STEINITZ = ("steinitz", "--disc", "-23", "--order", "3", "--ram")
+EXPONENTS = ("exponents", "--l", "3", "--otau", "9", "--n", "9", "--m")
+INADMISSIBLE_ARGS = {
+    "subgroup-letter": (WGROUP + ("a",), "bad integer"),
+    "subgroup-empty": (WGROUP + ("1,,2",), "bad integer"),
+    "ram-prime": (STEINITZ + ("x:3",), "bad integer"),
+    "ram-index": (STEINITZ + ("2:y",), "bad integer"),
+    "exponents-m-negative": (EXPONENTS + ("-2",), "m, n >= 1"),
+    "exponents-m-zero": (EXPONENTS + ("0",), "m, n >= 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", INADMISSIBLE_ARGS.values(), ids=INADMISSIBLE_ARGS)
+def test_inadmissible_arguments_exit_2(capture, argv, message):
+    code, out, err = capture(*argv, "--json")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_rt_subcommand_with_examples(capture, tmp_path):
     import importlib.resources as ir
 

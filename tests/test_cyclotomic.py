@@ -361,6 +361,27 @@ def test_w_norm_character_cached_on_class_group():
     assert again.members == first.members and again.generators == first.generators
 
 
+@pytest.mark.parametrize("disc, m", [(-5460, 12), (-420, 3), (-84, 7)])
+def test_cached_w_enumerates_its_members_on_first_read(disc, m):
+    # the lattice determines the subgroup, so the cached W-group keeps no
+    # member set; reading one gives { c : N(c) mod m in N_m }, with N_m the
+    # unit values of the principal form
+    sc.class_group.cache_clear()
+    w = w_norm_character(sc.QuadField(disc), m, CycloSubgroup(m, frozenset([1])))
+    assert "members" not in vars(w)
+
+    def unit_values(f):
+        values = [f.a * x * x + f.b * x * y + f.c * y * y for x in range(m) for y in range(m)]
+        return {v % m for v in values if gcd(v, m) == 1}
+
+    cg = w.group
+    norms = unit_values(cg.forms[cg.principal_index])
+    want = {i for i, f in enumerate(cg.forms) if unit_values(f) & norms}
+    assert 1 < len(want) < cg.order
+    assert w.members == want
+    assert w.group._w_cache[fixed_field_descriptor(CycloSubgroup(m, frozenset([1])))] is w
+
+
 def test_w_norm_character_checks_targets_on_a_warm_cache(monkeypatch):
     k = sc.QuadField(-3)
     good, bad = CycloSubgroup(3, frozenset([1])), unit_group(3)

@@ -1,6 +1,7 @@
 """The class-group walk against its oracles.
 
-`dlog_table_oracle` is an earlier `classgroup._dlog_table`, kept verbatim:
+`dlog_table_oracle` is an earlier `classgroup._dlog_table`, kept verbatim
+but for a local form -> index dict in place of the one the class group kept:
 it walks the sorted reduced forms instead of prime forms, carries every
 element's exponent vector through the walk, changes coordinates per element
 and builds `lut` by reducing every digit vector through a dict.  Its
@@ -18,7 +19,7 @@ import pytest
 
 from steinitzcalc import _kernels
 from steinitzcalc.classgroup import ClassGroup, _diagonalize, is_fundamental
-from steinitzcalc.errors import InternalInvariantError
+from steinitzcalc.errors import InadmissibleError, InternalInvariantError
 from steinitzcalc.grouptree import _prime_factors
 
 from conftest import ACCEPT_DISCS, MIXED_DISCS
@@ -47,7 +48,8 @@ def dlog_table_oracle(cg):
     U*R*V = diag(d) for unimodular U and V, an exponent vector a has
     coordinates (a*V)_t mod d_t, of which those with d_t > 1 are kept
     (Cohen, GTM 138, section 2.4)."""
-    forms, index = cg.forms, cg._index
+    forms = cg.forms
+    index = {f: i for i, f in enumerate(forms)}
 
     def compose(i, j):
         f1, f2 = forms[i], forms[j]
@@ -120,7 +122,7 @@ def test_table_matches_oracle(disc):
     # agree everywhere, since then i * (g * g') = (i * g) * g' in both
     cg = ClassGroup(disc)
     coords, codes, lut, moduli, weights = dlog_table_oracle(cg)
-    assert prod(cg._dlog[3]) == prod(moduli) == cg.order
+    assert prod(cg._dlog[2]) == prod(moduli) == cg.order
     for g in [lut[w] for w in weights]:
         for i in range(cg.order):
             assert cg.compose_idx(i, g) == lut[codes[i] + codes[g]]
@@ -128,6 +130,25 @@ def test_table_matches_oracle(disc):
         inverse = [-x % d * w for x, d, w in zip(coords[i], moduli, weights)]
         assert cg.inverse_idx(i) == lut[sum(inverse)]
         assert cg.order_of_idx(i) == lcm(*[d // gcd(x, d) for x, d in zip(coords[i], moduli)])
+        assert cg._at(cg._coords(i)) == i
+
+
+@pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS)
+def test_index_of_bisects_the_forms(disc):
+    # each fact is kept once: no form -> index dict, and no coordinate list
+    # beside the codes, lookup table, moduli and weights
+    cg = ClassGroup(disc)
+    assert not hasattr(cg, "_index") and len(cg._dlog) == 4
+    for i, f in enumerate(cg.forms):
+        assert cg.index_of(f) == cg.index_of(tuple(f)) == i
+        # (a, b) fixes c, so (a, b, c + 1) lies between f and the next form,
+        # or past the last one
+        with pytest.raises(InadmissibleError, match="not a reduced form"):
+            cg.index_of((f.a, f.b, f.c + 1))
+    for other in {-23, -20, -1155} - {disc}:
+        for f in ClassGroup(other).forms:
+            with pytest.raises(InadmissibleError, match="not a reduced form"):
+                cg.index_of(f)
 
 
 @pytest.mark.parametrize("disc", ORACLE_DISCS)

@@ -145,6 +145,12 @@ def test_w_exponent_examples():
         sc.w_exponent(2, 2, 1, 4)
 
 
+@pytest.mark.parametrize("m, n", [(-2, 9), (0, 9), (1, -9), (1, 0)])
+def test_w_exponent_rejects_degrees_below_one(m, n):
+    with pytest.raises(InadmissibleError, match="m, n >= 1"):
+        sc.w_exponent(3, 3, m, n)
+
+
 def test_membership_exponents_examples():
     assert sc.membership_exponents(3, 6) == [(3, 4, 2)]
     assert sc.membership_exponents(15, 15) == [(3, 10, 5), (5, 12, 6)]
