@@ -65,13 +65,14 @@ class QuadField:
     def __post_init__(self):
         if self.disc == 0:
             return
-        if not is_fundamental(self.disc):
-            raise InadmissibleError(
-                f"{self.disc} is not a fundamental discriminant < 0 (use 0 for Q)"
-            )
+        # the cap first: is_fundamental trial-divides up to sqrt|D|
         if -self.disc > MAX_ABS_DISC:
             raise InadmissibleError(
                 f"|disc| = {-self.disc} exceeds the supported cap {MAX_ABS_DISC}"
+            )
+        if not is_fundamental(self.disc):
+            raise InadmissibleError(
+                f"{self.disc} is not a fundamental discriminant < 0 (use 0 for Q)"
             )
 
     @staticmethod
@@ -263,15 +264,26 @@ class ClassGroup:
         generate the Sylow lattice), so x is the first member with x^(q/l)
         outside the span.  The span's size is the product of the q's found
         so far, since each new basis element meets the span only in the
-        identity.  The per-prime bases are then merged into an
-        invariant-factor chain, largest factor first."""
+        identity.  Both scans restart at the front of the Sylow list, so
+        each member's coordinates are decoded on its first visit and kept
+        for the rest of the call.  The per-prime bases are then merged into
+        an invariant-factor chain, largest factor first."""
         if hnf in self._structures:
             return self._structures[hnf]
         coords, moduli = self._coords, self._dlog[2]
         order = _lattice_order(moduli, hnf)
+
+        def scan(sylow, decoded):
+            """(x, coordinates of x) for x in `sylow`, in order; each member
+            is decoded on its first visit and kept in `decoded`."""
+            for i, x in enumerate(sylow):
+                if i == len(decoded):
+                    decoded.append((x, coords(x)))
+                yield decoded[i]
+
         per_prime = []  # [(order, generator_index), ...] descending, per prime
         for l in _prime_factors(order):
-            sylow, n = self._sylows[l], _l_part(order, l)
+            sylow, n, decoded = self._sylows[l], _l_part(order, l), []
             rows = [[order // n * x for x in row] for row in hnf]
             span, size, basis = _hnf(moduli, ()), 1, []
             while size < n:
@@ -280,11 +292,11 @@ class ClassGroup:
                     q *= l
                 e = q // l
                 x = next(
-                    x for x, c in zip(sylow, map(coords, sylow))
+                    x for x, c in scan(sylow, decoded)
                     if _in_lattice(hnf, c) and not _in_lattice(span, [e * v for v in c])
                 )
-                for s in sylow:
-                    if _in_lattice(span, coords(s)):
+                for s, c in scan(sylow, decoded):
+                    if _in_lattice(span, c):
                         y = self.compose_idx(x, s)
                         if self.order_of_idx(y) == q:
                             break
@@ -319,6 +331,11 @@ class ClassGroup:
         k = len(self._dlog[2])
         return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
+    @cached_property
+    def _trivial_hnf(self):
+        """diag(d_i): the lattice of the trivial subgroup."""
+        return self._lattice(())
+
     # -- public element / subgroup API --------------------------------------
 
     @property
@@ -329,7 +346,7 @@ class ClassGroup:
         return IdealClass(self, self.index_of(reduce(form)))
 
     def trivial_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup._of(self, self._lattice(()))
+        return ClassSubgroup._of(self, self._trivial_hnf)
 
     def full_subgroup(self) -> "ClassSubgroup":
         return ClassSubgroup._of(self, self._full_hnf, self.structure()[1])
@@ -546,23 +563,27 @@ class ClassSubgroup:
     coordinates: k x k integer work, with k <= log2(h).
 
     `generators` generate the subgroup: the given classes for
-    `subgroup_generate`, W-groups and member sets from outside, otherwise
-    the classes of the lattice's rows.  `members`, the frozenset of member
-    indices, is enumerated from the lattice on first access; only output
-    that lists members (traces, `check`) reads it.
+    `subgroup_generate`, the classes W-groups pick with `_grow` (the
+    members in index order that enlarge the span) and those of member sets
+    given to the constructor, otherwise the classes of the lattice's rows.
+    `members`, the frozenset of member indices, is enumerated from the
+    lattice on first access; only output that lists members (traces,
+    `check`) reads it.
 
-    `ClassSubgroup(group, members)` takes a member set from outside and
-    proves it is a subgroup: one scan of the sorted members grows the
-    lattice by each member it does not contain yet (`_grow`), those members
-    become the generators, and the set is a subgroup exactly when it has as
-    many members as the lattice and they are the lattice's members; it is
-    not kept, so a cached W-group holds no member set until one is read."""
+    `ClassSubgroup(group, members)` takes a member set and proves it is a
+    subgroup: one scan of the sorted members grows the lattice by each
+    member it does not contain yet (`_grow`), those members become the
+    generators, and the set is a subgroup exactly when it has as many
+    members as the lattice and they are the lattice's members; it is not
+    kept.  `rt` never calls it: W-groups come as lattices from
+    `cyclotomic.w_norm_character`, with the generators this scan would pick
+    from their member sets."""
 
     def __init__(self, group: ClassGroup, members):
         members = frozenset(members)
         if group.principal_index not in members:
             raise InadmissibleError("subgroup must contain the principal class")
-        hnf, gens = _grow(group, group._lattice(()), sorted(members), len(members))
+        hnf, gens = _grow(group, group._trivial_hnf, sorted(members), len(members))
         self._set(group, hnf, gens)
         if self.order != len(members) or self._members() != members:
             raise InadmissibleError("member set is not a subgroup")
@@ -770,13 +791,16 @@ def _grow(cg: ClassGroup, hnf, candidates, stop: int):
     """(hnf, grown): the lattice `hnf` grown by each index of `candidates`,
     in order, that it does not contain yet, and the list of those indices.
     The scan ends once the lattice has `stop` members or more; a candidate
-    met after that is in the lattice or the caller has to reject it."""
+    met after that is in the lattice or the caller has to reject it.
+    `candidates` is read once and no further than needed, so it may be a
+    lazy iterator."""
     moduli = cg._dlog[2]
     grown = []
     size = _lattice_order(moduli, hnf)
-    for x, c in zip(candidates, map(cg._coords, candidates)):
+    for x in candidates:
         if size >= stop:
             break
+        c = cg._coords(x)
         if not _in_lattice(hnf, c):
             hnf = _hnf(moduli, hnf + (c,))
             grown.append(x)

@@ -18,8 +18,13 @@ field mod m every ray class holds degree-1 primes, so
   W(k, E) = { c in Cl(k) : N(c) mod m in S * N_m },
   N_m     = { N(alpha) mod m : alpha in O_k, gcd(N(alpha), m) = 1 },
 
-where N(c) is any value coprime to m of a form in the class c.  No primes are
-needed; this is the path `rt` uses.
+where N(c) is any value coprime to m of a form in the class c.  N(c) is well
+defined modulo N_m and norms multiply, so c -> N(c) is a homomorphism chi
+from Cl(k) to (Z/m)* / (S * N_m) and W is its kernel: its values on the k
+coordinate basis classes of the discrete-log table fix W, found by
+Schreier's lemma over the at most phi(m) cosets of that quotient.  No primes
+are needed and no class is visited beyond the basis and the first members
+that generate W; this is the path `rt` uses.
 
 `w_group` computes the same group by sieving rational primes, certified by a
 doubling-window stabilization rule (two consecutive quiet windows).  It is
@@ -37,7 +42,15 @@ from functools import lru_cache
 from math import gcd, log
 
 from . import _kernels, grouptree
-from .classgroup import ClassSubgroup, QuadField, _grow, class_group, principal_form
+from .classgroup import (
+    ClassSubgroup,
+    QuadField,
+    _grow,
+    _in_lattice,
+    _lattice_order,
+    class_group,
+    principal_form,
+)
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
@@ -214,35 +227,67 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
 
     N_m is the group of unit residues mod m of the principal form (the norms
     of integers coprime to m), and N(c) is a unit value mod m of c's reduced
-    form; it is well defined modulo N_m.  `ClassSubgroup` takes the member
-    set, proves it is a subgroup and picks its generators with one sorted
-    scan (the members that enlarge the span).  Once s is checked, the result
-    is memoized in the class group's `_w_cache` under the fixed field (m and
-    s's sorted members); `class_group.cache_clear()` drops it with the group.
+    form; it is well defined modulo N_m, and norms multiply, so c -> N(c)
+    is a homomorphism chi from Cl(k) to Q = (Z/m)* / (s * N_m) and W is its
+    kernel.  chi is read only on the coordinate basis e_1, ..., e_k of the
+    class group's discrete-log table, and the kernel follows by Schreier's
+    lemma over Q, which has at most phi(m) cosets: with H the image of
+    e_1, ..., e_{t-1}, the least n >= 1 with chi(e_t)^n in H gives the
+    relation n*e_t - x for the x in that span with chi(x) = chi(e_t)^n, and
+    these k relations with diag(d_i) span the kernel's lattice.  H is kept
+    as the set of units in its cosets, so no coset needs a name.  The
+    generators are those `ClassSubgroup(group, members)` would pick from
+    the sorted member set: the kernel's members in index order that enlarge
+    the span, up to |W|.  Three cheap checks guard chi: |W| * |chi(Cl)| = h,
+    every generator's own unit value lies in s * N_m, and the generators
+    span the kernel.
+
+    Once s is checked, the result is memoized in the class group's
+    `_w_cache` under the fixed field (m and s's sorted members);
+    `class_group.cache_clear()` drops it with the group.
     """
     _check_target(field, m, s)
     cg = class_group(field.disc)
     fixed_field = fixed_field_descriptor(s)
     if fixed_field in cg._w_cache:
         return cg._w_cache[fixed_field]
-    norms = set(_unit_values(*principal_form(field.disc).as_tuple(), m))
+    norms = set(_unit_values(*principal_form(field.disc), m))
     target = {a * n % m for a in s.members for n in norms}
-    values = {}
-    members = set()
-    for i, f in enumerate(cg.forms):
-        key = (f.a % m, f.b % m, f.c % m)
-        v = values.get(key)
-        if v is None:
-            # a primitive form always takes a unit value mod m
-            v = values[key] = next(_unit_values(*key, m))
-        if v in target:
-            members.add(i)
-    try:
-        w = cg._w_cache[fixed_field] = ClassSubgroup(cg, frozenset(members))
-    except InadmissibleError as exc:
+
+    def value(i):
+        # a primitive form always takes a unit value mod m
+        return next(_unit_values(*cg.forms[i], m))
+
+    moduli = cg._dlog[2]
+    k = len(moduli)
+    # each unit of the image so far -> a vector of the span that chi maps
+    # to its coset
+    image = dict.fromkeys(target, (0,) * k)
+    relations = []
+    for t in range(k):
+        u = value(cg._at([int(i == t) for i in range(k)]))
+        n, x = 1, u
+        while x not in image:
+            n, x = n + 1, x * u % m
+        relations.append([-c for c in image[x][:t]] + [n] + [0] * (k - t - 1))
+        reached, p = list(image.items()), 1 % m
+        for j in range(1, n):
+            p = p * u % m
+            image.update({y * p % m: v[:t] + (j,) + v[t + 1:] for y, v in reached})
+    hnf = cg._lattice(relations)
+    order = _lattice_order(moduli, hnf)
+    if order * len(image) != cg.order * len(target):
         raise InternalInvariantError(
-            f"norm-character kernel is not a subgroup: {exc}"
-        ) from exc
+            f"norm character of disc {field.disc} mod {m}: kernel of order {order} "
+            f"and image of order {len(image) // len(target)} in a group of order {cg.order}"
+        )
+    members = (i for i in range(cg.order) if _in_lattice(hnf, cg._coords(i)))
+    span, gens = _grow(cg, cg._trivial_hnf, members, order)
+    if any(value(g) not in target for g in gens):
+        raise InternalInvariantError(f"a generator of W is outside the kernel of chi mod {m}")
+    if span != hnf:
+        raise InternalInvariantError(f"the generators of W do not span the kernel of chi mod {m}")
+    w = cg._w_cache[fixed_field] = ClassSubgroup._of(cg, hnf, gens)
     return w
 
 

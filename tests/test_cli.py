@@ -204,6 +204,19 @@ def test_steinitz_non_prime_exit_2(ram):
     assert "is not a prime" in r.stderr
 
 
+def test_disc_far_beyond_cap_exit_2():
+    # the cap is checked before the trial division that proves a
+    # discriminant fundamental, which would take ~10^19 steps here; in a
+    # subprocess so that a hang fails the test instead of stalling the suite
+    cmd = [
+        sys.executable, "-m", "steinitzcalc.cli",
+        "classgroup", "--disc", "-100000000000000000000000000000000000003",
+    ]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "exceeds the supported cap" in r.stderr
+
+
 def test_parser_built_once(capture, monkeypatch):
     import importlib.resources as ir
 

@@ -1,6 +1,7 @@
 """Galois-subgroup and W-group tests."""
 
 import json
+import random
 from math import gcd
 from pathlib import Path
 
@@ -19,7 +20,11 @@ from steinitzcalc.cyclotomic import (
     w_group,
     w_norm_character,
 )
-from steinitzcalc.errors import EnumerationCeilingError, InadmissibleError
+from steinitzcalc.errors import (
+    EnumerationCeilingError,
+    InadmissibleError,
+    InternalInvariantError,
+)
 from steinitzcalc.grouptree import _prime_factors
 
 from conftest import ACCEPT_DISCS, MIXED_DISCS
@@ -346,6 +351,93 @@ def test_w_norm_character_rejects_bad_targets():
         w_norm_character(sc.QuadField(-3), 3, unit_group(3))
 
 
+# -- w_norm_character: the kernel against the per-form norm oracle -------------------
+
+
+def _w_members_by_norm(field, m, s):
+    """Oracle: { c : N(c) mod m in s * N_m }, a unit value mod m taken for
+    every reduced form, N_m the unit values of the principal form."""
+
+    def unit_values(f):
+        values = (f.a * x * x + f.b * x * y + f.c * y * y for x in range(m) for y in range(m))
+        return [v % m for v in values if gcd(v, m) == 1]
+
+    cg = sc.class_group(field.disc)
+    norms = set(unit_values(cg.forms[cg.principal_index]))
+    target = {a * n % m for a in s.members for n in norms}
+    return frozenset(i for i, f in enumerate(cg.forms) if unit_values(f)[0] in target)
+
+
+def _w_cases(rng):
+    """Seeded (disc, m) pairs: Q and m = 1, fields with |D| dividing m, small
+    seeded fields and moduli, and one field with h >= 5000."""
+    cases = [(0, 1), (0, 12), (-3, 1), (-15, 15), (-20, 20), (-24, 24), (-84, 84)]
+    discs = [d for d in range(-3, -20001, -1) if sc.is_fundamental(d)]
+    cases += [(rng.choice(discs), rng.randrange(2, 31)) for _ in range(24)]
+    cases += [(-9951191, m) for m in (3, 5, 13)]
+    return cases
+
+
+def test_w_norm_character_matches_per_form_oracle():
+    rng = random.Random(16)
+    proper = 0
+    for disc, m in _w_cases(rng):
+        field = sc.QuadField(disc)
+        cg = sc.class_group(disc)
+        gal = galois_group(field, m)
+        cyclic = {1 % m}
+        a = x = rng.choice(sorted(gal.members))
+        while x not in cyclic:
+            cyclic.add(x)
+            x = x * a % m
+        for members in (gal.members, frozenset([1 % m]), frozenset(cyclic)):
+            s = CycloSubgroup(m, members)
+            w = w_norm_character(field, m, s)
+            oracle = sc.ClassSubgroup(cg, _w_members_by_norm(field, m, s))
+            assert (w.hnf, w.generators) == (oracle.hnf, oracle.generators), (disc, m, sorted(members))
+            proper += not w.is_full()
+    assert proper > 0 and sc.class_group(-9951191).order >= 5000
+
+
+def _corrupt_unit_values(monkeypatch, disc, g):
+    """Multiply every unit value of a non-principal form of discriminant disc
+    by g: a map on classes that is no homomorphism."""
+    real = cyclotomic._unit_values
+    principal = tuple(sc.principal_form(disc))
+
+    def corrupted(a, b, c, m):
+        for v in real(a, b, c, m):
+            yield v if (a, b, c) == principal else v * g % m
+
+    sc.class_group.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_unit_values", corrupted)
+
+
+def test_w_norm_character_checks_kernel_and_image_orders(monkeypatch):
+    # over -23 the non-principal classes get a non-square value mod 23, of
+    # order 2 in (Z/23)*/squares, but Cl = C3 has no element of order 2
+    _corrupt_unit_values(monkeypatch, -23, 5)
+    with pytest.raises(InternalInvariantError, match="kernel of order 3 and image of order 2"):
+        w_norm_character(sc.QuadField(-23), 23, CycloSubgroup(23, frozenset([1])))
+
+
+def test_w_norm_character_checks_generator_values(monkeypatch):
+    # the corrupted map is no homomorphism: the kernel its basis values give
+    # holds a generator whose own (corrupted) value lies outside s * N_m
+    _corrupt_unit_values(monkeypatch, -420, 3)
+    with pytest.raises(InternalInvariantError, match="generator of W is outside"):
+        w_norm_character(sc.QuadField(-420), 4, CycloSubgroup(4, frozenset([1])))
+
+
+def test_w_norm_character_checks_generators_span(monkeypatch):
+    # a generator scan that stops early leaves the kernel unspanned
+    real = cyclotomic._grow
+    monkeypatch.setattr(cyclotomic, "_grow", lambda cg, hnf, cands, stop: real(cg, hnf, cands, 1))
+    sc.class_group.cache_clear()
+    with pytest.raises(InternalInvariantError, match="do not span"):
+        w_norm_character(sc.QuadField(-23), 3, CycloSubgroup(3, frozenset([1])))
+
+
 # -- the W cache on the class group -------------------------------------------------
 
 
@@ -367,19 +459,13 @@ def test_cached_w_enumerates_its_members_on_first_read(disc, m):
     # member set; reading one gives { c : N(c) mod m in N_m }, with N_m the
     # unit values of the principal form
     sc.class_group.cache_clear()
-    w = w_norm_character(sc.QuadField(disc), m, CycloSubgroup(m, frozenset([1])))
+    field, s = sc.QuadField(disc), CycloSubgroup(m, frozenset([1]))
+    w = w_norm_character(field, m, s)
     assert "members" not in vars(w)
-
-    def unit_values(f):
-        values = [f.a * x * x + f.b * x * y + f.c * y * y for x in range(m) for y in range(m)]
-        return {v % m for v in values if gcd(v, m) == 1}
-
-    cg = w.group
-    norms = unit_values(cg.forms[cg.principal_index])
-    want = {i for i, f in enumerate(cg.forms) if unit_values(f) & norms}
-    assert 1 < len(want) < cg.order
+    want = _w_members_by_norm(field, m, s)
+    assert 1 < len(want) < w.group.order
     assert w.members == want
-    assert w.group._w_cache[fixed_field_descriptor(CycloSubgroup(m, frozenset([1])))] is w
+    assert w.group._w_cache[fixed_field_descriptor(s)] is w
 
 
 def test_w_norm_character_checks_targets_on_a_warm_cache(monkeypatch):
@@ -427,3 +513,21 @@ def test_rt_w_groups_obey_genus_theory(monkeypatch):
         assert all(cg.compose_idx(x, x) in w.members for x in range(cg.order)), cg.disc
         mu = len(_prime_factors(-cg.disc))
         assert 2 ** (mu - 1) % w.index_in_parent == 0, (cg.disc, w.index_in_parent)
+
+
+def test_rt_builds_no_w_from_a_member_set(monkeypatch):
+    # W is the kernel of the norm character, found from the coordinate
+    # basis: rt neither proves a member set to be a subgroup nor enumerates
+    # the members of any subgroup it computes
+    def refuse(*args, **kwargs):
+        raise AssertionError("rt built or enumerated a member set")
+
+    sc.class_group.cache_clear()
+    monkeypatch.setattr(sc.ClassSubgroup, "__init__", refuse)
+    monkeypatch.setattr(sc.ClassSubgroup, "_members", refuse)
+    monkeypatch.setattr(sc.ClassSubgroup, "members", property(refuse))
+    trees = {p.stem: gt.tree_from_spec(json.loads(p.read_text())) for p in sorted(SPECS.glob("*.json"))}
+    assert len(trees) == 17
+    for tree in trees.values():
+        assert sc.rt(sc.QuadField(-1000019), tree).subgroup.order > 0
+    assert sc.rt(sc.QuadField(-9951191), trees["C9C3_x_D3"]).subgroup.order > 0
