@@ -23,8 +23,6 @@ from .classgroup import (
     principal_form,
     reduce,
     splitting,
-    subgroup_contains,
-    subgroup_eq,
     subgroup_generate,
 )
 from .cyclotomic import (
@@ -54,25 +52,20 @@ from .grouptree import (
     Direct,
     Semidirect,
     dihedral_tree,
-    is_solvable_a_group,
     leaf,
     semidirect,
-    to_multiplication_table,
     tree_from_spec,
     tree_to_spec,
     validate_action,
 )
 from .realizable import (
-    RtRequest,
     RtResult,
-    membership_check,
     rt,
     rt_dihedral,
     rt_trace_replay,
 )
 from .steinitz import (
     RamificationDatum,
-    alpha_abelian,
     alphas_l,
     beta_l,
     discriminant_exponent,
@@ -81,7 +74,6 @@ from .steinitz import (
     exponent_gcd,
     steinitz_from_ramification,
     w_exponent,
-    tower_steinitz,
 )
 
 __version__ = "0.1.0"
@@ -92,8 +84,7 @@ __all__ = [
     # classgroup
     "ClassGroup", "ClassSubgroup", "IdealClass", "QuadField", "QuadForm",
     "Splitting", "class_group", "compose", "is_fundamental", "prime_class",
-    "principal_form", "reduce", "splitting", "subgroup_contains",
-    "subgroup_eq", "subgroup_generate",
+    "principal_form", "reduce", "splitting", "subgroup_generate",
     # cyclotomic
     "CycloSubgroup", "FixedFieldDescriptor", "WGroup",
     "fixed_field_descriptor", "galois_group", "g_k_mu_tau", "unit_group",
@@ -103,14 +94,12 @@ __all__ = [
     "SteinitzcalcError", "TraceMismatchError",
     # grouptree
     "AbElement", "AbelianGroup", "AbelianLeaf", "Action", "GroupTree",
-    "Direct", "Semidirect", "dihedral_tree", "is_solvable_a_group", "leaf",
-    "semidirect", "to_multiplication_table", "tree_from_spec", "tree_to_spec",
-    "validate_action",
+    "Direct", "Semidirect", "dihedral_tree", "leaf", "semidirect",
+    "tree_from_spec", "tree_to_spec", "validate_action",
     # realizable
-    "RtRequest", "RtResult", "membership_check", "rt", "rt_dihedral",
-    "rt_trace_replay",
+    "RtResult", "rt", "rt_dihedral", "rt_trace_replay",
     # steinitz
-    "RamificationDatum", "alpha_abelian", "alphas_l", "beta_l",
-    "discriminant_exponent", "membership_exponents", "l_part", "exponent_gcd",
-    "steinitz_from_ramification", "w_exponent", "tower_steinitz",
+    "RamificationDatum", "alphas_l", "beta_l", "discriminant_exponent",
+    "membership_exponents", "l_part", "exponent_gcd",
+    "steinitz_from_ramification", "w_exponent",
 ]

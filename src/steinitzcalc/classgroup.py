@@ -75,16 +75,6 @@ class QuadField:
                 f"{self.disc} is not a fundamental discriminant < 0 (use 0 for Q)"
             )
 
-    @staticmethod
-    def rationals() -> "QuadField":
-        return QuadField(0)
-
-    @staticmethod
-    def imaginary_quadratic(disc: int) -> "QuadField":
-        if disc == 0:
-            raise InadmissibleError("imaginary quadratic field needs disc < 0")
-        return QuadField(disc)
-
     @property
     def is_rationals(self) -> bool:
         return self.disc == 0
@@ -346,10 +336,10 @@ class ClassGroup:
         return IdealClass(self, self.index_of(reduce(form)))
 
     def trivial_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup._of(self, self._trivial_hnf)
+        return ClassSubgroup(self, self._trivial_hnf)
 
     def full_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup._of(self, self._full_hnf, self.structure()[1])
+        return ClassSubgroup(self, self._full_hnf, self.structure()[1])
 
     def structure(self):
         """(invariant_factors, generator_indices) with factors in a chain
@@ -531,12 +521,6 @@ class IdealClass:
     def __pow__(self, e: int) -> "IdealClass":
         return IdealClass(self.group, self.group.pow_idx(self.index, e))
 
-    def inverse(self) -> "IdealClass":
-        return IdealClass(self.group, self.group.inverse_idx(self.index))
-
-    def order(self) -> int:
-        return self.group.order_of_idx(self.index)
-
     def __str__(self):
         return str(self.form)
 
@@ -556,46 +540,21 @@ class ClassSubgroup:
     on diag(d_1, ..., d_k) (Cohen, GTM 138, sections 2.4.2-2.4.3; `_hnf`):
     an upper-triangular k x k integer matrix whose diagonal entry h_t
     divides d_t.  The lattice and the subgroup determine each other, so
-    equality and hashing compare `hnf`, membership reduces a coordinate
-    vector by its rows, the order is the product of the d_t / h_t and the
-    index the product of the h_t.  `power` scales the rows, `product` stacks
-    two lattices and `subgroup_generate` stacks its generators'
-    coordinates: k x k integer work, with k <= log2(h).
+    equality and hashing compare `hnf`, the order is the product of the
+    d_t / h_t and the index the product of the h_t.  `power` scales the
+    rows, `product` stacks two lattices and `subgroup_generate` stacks its
+    generators' coordinates: k x k integer work, with k <= log2(h).
 
-    `generators` generate the subgroup: the given classes for
-    `subgroup_generate`, the classes W-groups pick with `_grow` (the
-    members in index order that enlarge the span) and those of member sets
-    given to the constructor, otherwise the classes of the lattice's rows.
-    `members`, the frozenset of member indices, is enumerated from the
-    lattice on first access; only output that lists members (traces,
-    `check`) reads it.
+    `ClassSubgroup(group, hnf, generators)` is the only constructor; it
+    trusts `hnf` to be a lattice in `group._lattice`'s normal form and
+    checks nothing.  `generators` generate the subgroup: the given classes
+    for `subgroup_generate`, the classes W-groups pick with `_grow` (the
+    members in index order that enlarge the span), otherwise the classes
+    of the lattice's rows.  `members`, the frozenset of member indices, is
+    enumerated from the lattice on first read; only output that lists
+    members (traces, `check`) reads it."""
 
-    `ClassSubgroup(group, members)` takes a member set and proves it is a
-    subgroup: one scan of the sorted members grows the lattice by each
-    member it does not contain yet (`_grow`), those members become the
-    generators, and the set is a subgroup exactly when it has as many
-    members as the lattice and they are the lattice's members; it is not
-    kept.  `rt` never calls it: W-groups come as lattices from
-    `cyclotomic.w_norm_character`, with the generators this scan would pick
-    from their member sets."""
-
-    def __init__(self, group: ClassGroup, members):
-        members = frozenset(members)
-        if group.principal_index not in members:
-            raise InadmissibleError("subgroup must contain the principal class")
-        hnf, gens = _grow(group, group._trivial_hnf, sorted(members), len(members))
-        self._set(group, hnf, gens)
-        if self.order != len(members) or self._members() != members:
-            raise InadmissibleError("member set is not a subgroup")
-
-    @classmethod
-    def _of(cls, group: ClassGroup, hnf, generators=None) -> "ClassSubgroup":
-        """The subgroup with lattice `hnf`, generated by `generators`."""
-        sub = cls.__new__(cls)
-        sub._set(group, hnf, generators)
-        return sub
-
-    def _set(self, group, hnf, generators):
+    def __init__(self, group: ClassGroup, hnf, generators=None):
         self.group = group
         self.hnf = hnf
         if generators is not None:
@@ -623,7 +582,8 @@ class ClassSubgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def _members(self) -> frozenset:
+    @cached_property
+    def members(self) -> frozenset:
         """The member indices: the lattice points c_1*row_1 + ... +
         c_k*row_k with 0 <= c_t < d_t / h_t, one per member."""
         codes, lut, moduli, _ = self.group._dlog
@@ -636,17 +596,11 @@ class ClassSubgroup:
             points = [codes[lut[a + b]] for a in points for b in multiples]
         return frozenset([lut[a] for a in points])
 
-    members = cached_property(_members)  # enumerated on first read
-
     def sorted_members(self):
         return sorted(self.members)
 
     def member_forms(self):
         return [self.group.forms[i] for i in self.sorted_members()]
-
-    def contains_class(self, cls: IdealClass) -> bool:
-        _check_same_group(self.group, cls.group)
-        return _in_lattice(self.hnf, self.group._coords(cls.index))
 
     def structure(self):
         return self.group._structure_of(self.hnf)
@@ -665,11 +619,11 @@ class ClassSubgroup:
         if e < 0:
             raise InadmissibleError("subgroup power wants e >= 0")
         scaled = [[e * x for x in row] for row in self.hnf]
-        return ClassSubgroup._of(self.group, self.group._lattice(scaled))
+        return ClassSubgroup(self.group, self.group._lattice(scaled))
 
     def product(self, other: "ClassSubgroup") -> "ClassSubgroup":
         _check_same_group(self.group, other.group)
-        return ClassSubgroup._of(self.group, self.group._lattice(self.hnf + other.hnf))
+        return ClassSubgroup(self.group, self.group._lattice(self.hnf + other.hnf))
 
     def __eq__(self, other):
         return (
@@ -684,7 +638,7 @@ class ClassSubgroup:
     def __repr__(self):
         return (
             f"ClassSubgroup(disc={self.group.disc}, order={self.order}, "
-            f"members={[str(f) for f in self.member_forms()]})"
+            f"index={self.index_in_parent}, hnf={self.hnf})"
         )
 
 
@@ -719,7 +673,7 @@ def subgroup_generate(cg: ClassGroup, gens) -> ClassSubgroup:
         _check_same_group(cg, g.group)
         gen_idx.add(g.index)
     gen_idx = sorted(gen_idx)
-    return ClassSubgroup._of(cg, cg._lattice([cg._coords(i) for i in gen_idx]), gen_idx)
+    return ClassSubgroup(cg, cg._lattice([cg._coords(i) for i in gen_idx]), gen_idx)
 
 
 # -- lattices in discrete-log coordinates --------------------------------------
@@ -806,14 +760,3 @@ def _grow(cg: ClassGroup, hnf, candidates, stop: int):
             grown.append(x)
             size = _lattice_order(moduli, hnf)
     return hnf, grown
-
-
-def subgroup_eq(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
-    _check_same_group(s1.group, s2.group)
-    return s1 == s2
-
-
-def subgroup_contains(s1: ClassSubgroup, s2: ClassSubgroup) -> bool:
-    """True when s1 contains s2."""
-    _check_same_group(s1.group, s2.group)
-    return all(_in_lattice(s1.hnf, row) for row in s2.hnf)

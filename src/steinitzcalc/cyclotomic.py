@@ -236,9 +236,9 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
     relation n*e_t - x for the x in that span with chi(x) = chi(e_t)^n, and
     these k relations with diag(d_i) span the kernel's lattice.  H is kept
     as the set of units in its cosets, so no coset needs a name.  The
-    generators are those `ClassSubgroup(group, members)` would pick from
-    the sorted member set: the kernel's members in index order that enlarge
-    the span, up to |W|.  Three cheap checks guard chi: |W| * |chi(Cl)| = h,
+    generators are the kernel's members in index order that enlarge the
+    span, up to |W|: the choice a closure-grown scan of the sorted member
+    set makes (`_grow`).  Three cheap checks guard chi: |W| * |chi(Cl)| = h,
     every generator's own unit value lies in s * N_m, and the generators
     span the kernel.
 
@@ -287,7 +287,7 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
         raise InternalInvariantError(f"a generator of W is outside the kernel of chi mod {m}")
     if span != hnf:
         raise InternalInvariantError(f"the generators of W do not span the kernel of chi mod {m}")
-    w = cg._w_cache[fixed_field] = ClassSubgroup._of(cg, hnf, gens)
+    w = cg._w_cache[fixed_field] = ClassSubgroup(cg, hnf, gens)
     return w
 
 
@@ -375,7 +375,7 @@ def w_group(
                 seen.update(fresh)
                 hnf, grown = _grow(cg, w.hnf, sorted(fresh), cg.order)
                 gens.extend(grown)
-                w = ClassSubgroup._of(cg, hnf, sorted(gens))
+                w = ClassSubgroup(cg, hnf, sorted(gens))
         return new
 
     windows = []

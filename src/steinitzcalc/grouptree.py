@@ -10,8 +10,11 @@ by breadth-first closure with consistency checking; matrices are r x r over
 the integers, column j giving the exponent vector of the image of the j-th
 generator of H.
 
-Canonical element indexing is mixed-radix over coordinates, leaves first,
-left-to-right, so tables and traces are reproducible.
+Elements are AbElements, paired for semidirect and direct nodes, and never
+indices.  `elements` lists a tree's elements in one canonical order
+(mixed-radix over coordinates, leaves first, left to right), and
+`flatten_element` / `unflatten_element` convert an element to and from the
+flat integer coordinates of the spec format.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from itertools import product
 from math import gcd, lcm
 from random import Random
 
-from .errors import InadmissibleError, InternalInvariantError
+from .errors import InadmissibleError
 
 ENUMERATION_CAP = 100_000
 _FULL_HOM_CHECK_CAP = 512
-_FULL_ASSOC_CAP = 300
 
 
 # -- integer helpers, also used by classgroup, steinitz and realizable ----------
@@ -53,10 +55,6 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_l_power(n: int, l: int) -> bool:
-    return _l_part(n, l) == n
 
 
 # -- abelian groups and their elements ----------------------------------------
@@ -117,28 +115,9 @@ class AbelianGroup:
             tuple((x + y) % n for x, y, n in zip(a.coords, b.coords, self.invariant_factors))
         )
 
-    def neg(self, a: AbElement) -> AbElement:
-        return AbElement(tuple((-x) % n for x, n in zip(a.coords, self.invariant_factors)))
-
-    def scale(self, a: AbElement, k: int) -> AbElement:
-        return AbElement(tuple((x * k) % n for x, n in zip(a.coords, self.invariant_factors)))
-
     def elements(self):
         for coords in product(*(range(n) for n in self.invariant_factors)):
             yield AbElement(coords)
-
-    def index_of(self, a: AbElement) -> int:
-        idx = 0
-        for c, n in zip(a.coords, self.invariant_factors):
-            idx = idx * n + c
-        return idx
-
-    def element_at(self, idx: int) -> AbElement:
-        coords = []
-        for n in reversed(self.invariant_factors):
-            coords.append(idx % n)
-            idx //= n
-        return AbElement(tuple(reversed(coords)))
 
     def element_order(self, a: AbElement) -> int:
         return lcm(*(n // gcd(n, c) for c, n in zip(a.coords, self.invariant_factors)))
@@ -153,13 +132,6 @@ class AbelianGroup:
             stride = n // nl
             axes.append([k * stride for k in range(nl)])
         return [AbElement(coords) for coords in product(*axes)]
-
-    def tau_l(self, a: AbElement, l: int) -> AbElement:
-        """Projection of a into the l-Sylow: a ** (o(a) / o(a)_l)."""
-        if self.order % l:
-            raise InadmissibleError(f"{l} does not divide |H| = {self.order}")
-        o = self.element_order(a)
-        return self.scale(a, o // _l_part(o, l))
 
     def __str__(self):
         if not self.invariant_factors:
@@ -443,15 +415,11 @@ def order(tree: GroupTree) -> int:
     raise InadmissibleError(f"not a group tree: {tree!r}")
 
 
-def is_odd(tree: GroupTree) -> bool:
-    return order(tree) % 2 == 1
-
-
 def two_sylow_cyclic(tree: GroupTree) -> bool:
     """True when the order is even and the 2-Sylow subgroup is cyclic.
 
-    Odd-order trees report False; check `is_odd` separately (their trivial
-    2-Sylow would otherwise count as cyclic)."""
+    Odd-order trees report False, although their trivial 2-Sylow is
+    cyclic: `Direct` asks only about even-order factors."""
     if isinstance(tree, AbelianLeaf):
         fac = tree.group.invariant_factors
         return bool(fac) and fac[0] % 2 == 0 and (len(fac) == 1 or fac[1] % 2 == 1)
@@ -495,19 +463,6 @@ def multiply(tree: GroupTree, x, y):
     raise InadmissibleError(f"not a group tree: {tree!r}")
 
 
-def inverse(tree: GroupTree, x):
-    if isinstance(tree, AbelianLeaf):
-        return tree.group.neg(x)
-    if isinstance(tree, Semidirect):
-        h, g = x
-        ginv = inverse(tree.g, g)
-        return (tree.h.neg(tree.mu.apply(ginv, h)), ginv)
-    if isinstance(tree, Direct):
-        l, r = x
-        return (inverse(tree.left, l), inverse(tree.right, r))
-    raise InadmissibleError(f"not a group tree: {tree!r}")
-
-
 def elements(tree: GroupTree):
     """All elements in canonical order (mixed-radix, leaves first)."""
     if isinstance(tree, AbelianLeaf):
@@ -522,30 +477,6 @@ def elements(tree: GroupTree):
                 yield (l, r)
     else:
         raise InadmissibleError(f"not a group tree: {tree!r}")
-
-
-def element_at(tree: GroupTree, idx: int):
-    if isinstance(tree, AbelianLeaf):
-        return tree.group.element_at(idx)
-    if isinstance(tree, Semidirect):
-        n_g = order(tree.g)
-        return (tree.h.element_at(idx // n_g), element_at(tree.g, idx % n_g))
-    if isinstance(tree, Direct):
-        n_r = order(tree.right)
-        return (element_at(tree.left, idx // n_r), element_at(tree.right, idx % n_r))
-    raise InadmissibleError(f"not a group tree: {tree!r}")
-
-
-def index_of(tree: GroupTree, el) -> int:
-    if isinstance(tree, AbelianLeaf):
-        return tree.group.index_of(el)
-    if isinstance(tree, Semidirect):
-        h, g = el
-        return tree.h.index_of(h) * order(tree.g) + index_of(tree.g, g)
-    if isinstance(tree, Direct):
-        l, r = el
-        return index_of(tree.left, l) * order(tree.right) + index_of(tree.right, r)
-    raise InadmissibleError(f"not a group tree: {tree!r}")
 
 
 def flatten_element(tree: GroupTree, el) -> list:
@@ -596,127 +527,6 @@ def _unflatten(tree, flat):
         r, rest = _unflatten(tree.right, rest)
         return (l, r), rest
     raise InadmissibleError(f"not a group tree: {tree!r}")
-
-
-def to_multiplication_table(tree: GroupTree, cap: int = None):
-    """Full multiplication table over the canonical element indexing."""
-    cap = ENUMERATION_CAP if cap is None else cap
-    n = order(tree)
-    if n > cap:
-        raise InadmissibleError(f"order {n} exceeds enumeration cap {cap}")
-    els = list(elements(tree))
-    idx = {el: i for i, el in enumerate(els)}
-    return [[idx[multiply(tree, a, b)] for b in els] for a in els]
-
-
-# -- multiplication-table verifier ----------------------------------------------
-
-
-def _closure(table, seed):
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (table[x][y], table[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return members
-
-
-def is_solvable_a_group(table) -> bool:
-    """Check a multiplication table for: being a group, being solvable, and
-    having all Sylow subgroups abelian.
-
-    Group axioms are verified first (identity, inverses, Latin square;
-    associativity in full up to order 300, deterministically sampled beyond)
-    and failures raise.  Solvability uses the derived series; each Sylow
-    subgroup is grown greedily from elements of prime-power order.
-    """
-    n = len(table)
-    if n == 0 or any(len(row) != n for row in table):
-        raise InadmissibleError("table is not square")
-    rng = range(n)
-    if any(x not in rng for row in table for x in row):
-        raise InadmissibleError("table entries out of range")
-
-    ident = None
-    for e in rng:
-        if all(table[e][j] == j and table[j][e] == j for j in rng):
-            ident = e
-            break
-    if ident is None:
-        raise InadmissibleError("table has no identity")
-
-    inv = [None] * n
-    for i in rng:
-        for j in rng:
-            if table[i][j] == ident and table[j][i] == ident:
-                inv[i] = j
-                break
-        if inv[i] is None:
-            raise InadmissibleError(f"element {i} has no inverse")
-
-    for row in table:
-        if len(set(row)) != n:
-            raise InadmissibleError("table rows are not permutations")
-    for j in rng:
-        if len({table[i][j] for i in rng}) != n:
-            raise InadmissibleError("table columns are not permutations")
-
-    if n <= _FULL_ASSOC_CAP:
-        triples = ((a, b, c) for a in rng for b in rng for c in rng)
-    else:
-        r = Random(0)
-        triples = (
-            (r.randrange(n), r.randrange(n), r.randrange(n)) for _ in range(50 * n)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise InadmissibleError(f"associativity fails at ({a},{b},{c})")
-
-    # derived series
-    cur = set(rng)
-    while True:
-        comms = {
-            table[table[a][b]][table[inv[a]][inv[b]]] for a in cur for b in cur
-        }
-        new = _closure(table, comms | {ident})
-        if new == {ident}:
-            break
-        if new == cur:
-            return False
-        cur = new
-
-    # Sylow subgroups, grown greedily; a maximal l-subgroup is an l-Sylow
-    for l in _prime_factors(n):
-        target = _l_part(n, l)
-        l_els = [x for x in rng if _is_l_power(_order_in_table(table, ident, x), l)]
-        sylow = {ident}
-        while len(sylow) < target:
-            for y in l_els:
-                if y in sylow:
-                    continue
-                grown = _closure(table, sylow | {y})
-                if _is_l_power(len(grown), l):
-                    sylow = grown
-                    break
-            else:
-                raise InternalInvariantError(
-                    f"could not grow an {l}-Sylow subgroup past {len(sylow)}"
-                )
-        if any(table[a][b] != table[b][a] for a in sylow for b in sylow):
-            return False
-    return True
-
-
-def _order_in_table(table, ident, x) -> int:
-    cur, o = x, 1
-    while cur != ident:
-        cur = table[cur][x]
-        o += 1
-    return o
 
 
 # -- JSON group-spec files -------------------------------------------------------

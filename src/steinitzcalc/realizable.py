@@ -40,14 +40,14 @@ prime enumeration `cyclotomic.w_group`.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import cyclotomic, grouptree
-from .classgroup import ClassSubgroup, QuadField, class_group, prime_class, splitting, Splitting
+from .classgroup import ClassSubgroup, QuadField, QuadForm, class_group, subgroup_generate
 from .errors import InadmissibleError, TraceMismatchError
 from .grouptree import _prime_factors
-from .steinitz import membership_exponents, w_exponent
+from .steinitz import w_exponent
+from .steinitz import membership_exponents  # unused: rtbench/tracer.py wraps this name
 
 _TRACE_VERSION = 2
 
@@ -72,16 +72,6 @@ def check_admissible(tree: grouptree.GroupTree):
         check_admissible(tree.right)
         return
     raise InadmissibleError(f"not a group tree: {tree!r}")
-
-
-@dataclass(frozen=True)
-class RtRequest:
-    field: QuadField
-    tree: grouptree.GroupTree
-    dedupe: bool = True
-
-    def run(self) -> "RtResult":
-        return rt(self.field, self.tree, dedupe=self.dedupe)
 
 
 class RtResult:
@@ -361,7 +351,7 @@ def rt_trace_replay(result) -> ClassSubgroup:
     try:
         cg = class_group(trace["disc"])
         node = trace["node"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InadmissibleError) as exc:
         raise TraceMismatchError(f"corrupt trace: {exc}") from exc
     sub = _replay_node(cg, node)
     if isinstance(result, RtResult) and sub != result.subgroup:
@@ -393,65 +383,22 @@ def _replay_node(cg, node) -> ClassSubgroup:
             )
         else:
             raise TraceMismatchError(f"corrupt trace: unknown node kind {kind!r}")
-        recorded = [tuple(f) for f in node["members"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        recorded = sorted(tuple(f) for f in node["members"])
+    except (KeyError, TypeError, IndexError, InadmissibleError) as exc:
+        # InadmissibleError: a recorded form, exponent or power that the
+        # class group rejects, such as a form of another discriminant
         raise TraceMismatchError(f"corrupt trace: {exc}") from exc
-    if [f.as_tuple() for f in sub.member_forms()] != sorted(recorded):
+    if [f.as_tuple() for f in sub.member_forms()] != recorded:
         raise TraceMismatchError(
             f"replay mismatch at {node.get('kind')}: recomputed "
-            f"{[str(f) for f in sub.member_forms()]}, recorded {sorted(recorded)}"
+            f"{[str(f) for f in sub.member_forms()]}, recorded {recorded}"
         )
     return sub
 
 
 def _replay_w(cg, sub, w_factors) -> ClassSubgroup:
-    from .classgroup import QuadForm, subgroup_generate
-
     for entry in w_factors:
         gens = [cg.class_of(QuadForm(*f)) for f in entry["w_generators"]]
         w_sub = subgroup_generate(cg, gens)
         sub = sub.product(w_sub.power(entry["exponent"]))
     return sub
-
-
-# -- per-prime membership exponents ----------------------------------------------
-
-
-def membership_check(field: QuadField, tree, ram_scenarios, rt_result=None):
-    """For scenarios (p, e): verify class(p)^exp lies in R_t(k, G) for every
-    exponent of the per-prime membership contract (and the half exponent
-    when even).
-
-    Scenario admissibility is only e >= 2, e | |G| and p not inert; whether a
-    cyclic inertia group of order e actually embeds in G is not re-verified.
-    Returns one report dict per scenario; raises on inadmissible scenarios.
-    """
-    if rt_result is None:
-        rt_result = rt(field, tree)
-    sub = rt_result.subgroup
-    big_m = grouptree.order(tree)
-    reports = []
-    for p, e in ram_scenarios:
-        if e < 2 or big_m % e:
-            raise InadmissibleError(f"scenario e={e} does not divide |G|={big_m}")
-        if splitting(p, field) is Splitting.INERT:
-            raise InadmissibleError(f"scenario p={p} is inert in {field}")
-        cls = prime_class(p, field)
-        checks = []
-        for l, exp, half in membership_exponents(e, big_m):
-            checks.append(
-                {"l": l, "exponent": exp, "ok": sub.contains_class(cls**exp)}
-            )
-            if half is not None:
-                checks.append(
-                    {
-                        "l": l,
-                        "exponent": half,
-                        "half": True,
-                        "ok": sub.contains_class(cls**half),
-                    }
-                )
-        reports.append(
-            {"p": p, "e": e, "ok": all(c["ok"] for c in checks), "checks": checks}
-        )
-    return reports

@@ -4,11 +4,11 @@ The discriminant of a tame Galois extension of degree N with ramification
 data {(p, e_p)} is prod p^((e_p-1)N/e_p); when that exponent is even at every
 prime (always true for N odd) half of it drives the Steinitz class.  The
 remaining functions are the pure integer-exponent identities used by the
-realizable-class engine: the l-part, the gcd bound on (e-1)m/e, the abelian
-construction exponent, the three per-prime construction exponents, their gcd
-beta_l (computed in both published shapes and asserted equal), the engine's
-W-group exponent, and the per-prime membership exponents of the inductive
-contract.
+realizable-class engine: the l-part, the gcd bound on (e-1)m/e, the three
+per-prime construction exponents, their gcd beta_l (computed in both
+published shapes and asserted equal), the engine's W-group exponent, and the
+per-prime membership exponents of the inductive contract (which the test
+oracle `membership_check` in tests/membership_oracle.py applies).
 
 Note: alphas_l's third value is 3(l-1)/2 as displayed in its source, while
 beta_l's three-term gcd carries the extra n/l factor its derivation uses at
@@ -24,7 +24,6 @@ from .classgroup import (
     IdealClass,
     QuadField,
     Splitting,
-    _check_same_group,
     class_group,
     prime_class,
     splitting,
@@ -90,15 +89,6 @@ def steinitz_from_ramification(
     return out
 
 
-def tower_steinitz(st_e: IdealClass, deg_ke: int, norm_st_ke: IdealClass) -> IdealClass:
-    """Steinitz class of a tower: st(E/k)^[K:E] times the norm of st(K/E).
-
-    The norm value is supplied by the caller; no relative norm is computed
-    here."""
-    _check_same_group(st_e.group, norm_st_ke.group)
-    return st_e**deg_ke * norm_st_ke
-
-
 def exponent_gcd(e: int, m: int):
     """(g, divides): g = gcd over primes l | e of (l-1)m/e_(l), and whether
     g divides (e-1)m/e.  `divides` is always True; it is returned (not
@@ -110,19 +100,6 @@ def exponent_gcd(e: int, m: int):
         g = gcd(g, (l - 1) * (m // l_part(e, l)))
     target = discriminant_exponent(e, m)
     return g, target % g == 0
-
-
-def alpha_abelian(h_group) -> int:
-    """Exponent of the ideal class in the trivial-Steinitz construction for
-    an odd abelian group C(n_1) x ... x C(n_r)."""
-    fac = h_group.invariant_factors
-    n = h_group.order
-    if not fac:
-        raise InadmissibleError("H must be nontrivial")
-    if n % 2 == 0:
-        raise InadmissibleError(f"|H| = {n} must be odd")
-    total = sum(((nj - 1) // 2) * (n // nj) for nj in fac)
-    return total + ((fac[0] - 1) // 2) * (n // fac[0])
 
 
 def _check_l_otau_n(l: int, o_tau: int, n: int):

@@ -3,7 +3,9 @@
 import pytest
 
 from steinitzcalc import grouptree as gt
-from steinitzcalc.grouptree import _is_l_power, _prime_factors
+from steinitzcalc.grouptree import _prime_factors
+
+from table_oracle import _is_l_power
 
 ACCEPT_DISCS = (-3, -4, -7, -8, -11, -15, -20, -23, -47, -71)
 CROSS_DISCS = (-23, -47, -71)

@@ -1,15 +1,38 @@
-"""The callback-driven abelian-structure extractor and the coset closure.
+"""The callback-driven abelian-structure extractor, the coset closure, and
+the member-set subgroup constructor.
 
 `ClassGroup._structure_of` computes invariant factors and generators in
 discrete-log coordinates; these routines compute them on opaque indices
 through the group law alone, with the same choice rule, so they serve as
 its oracle and as the oracle for the lattice operations of `ClassSubgroup`.
+`subgroup_from_members` builds a `ClassSubgroup` from a member set and
+proves the set is a subgroup.
 """
 
 from math import prod
 
-from steinitzcalc.errors import InternalInvariantError
+from steinitzcalc.classgroup import ClassSubgroup, _grow
+from steinitzcalc.errors import InadmissibleError, InternalInvariantError
 from steinitzcalc.grouptree import _prime_factors
+
+
+def subgroup_from_members(cg, members) -> ClassSubgroup:
+    """The subgroup of `cg` whose member indices are `members`, proved to be
+    one.
+
+    One scan of the sorted members grows the lattice by each member it does
+    not contain yet (`_grow`), and those members become the generators: the
+    choice `cyclotomic.w_norm_character` makes.  The set is a subgroup
+    exactly when it has as many members as the lattice and they are the
+    lattice's members; otherwise InadmissibleError is raised."""
+    members = frozenset(members)
+    if cg.principal_index not in members:
+        raise InadmissibleError("subgroup must contain the principal class")
+    hnf, gens = _grow(cg, cg._trivial_hnf, sorted(members), len(members))
+    sub = ClassSubgroup(cg, hnf, gens)
+    if sub.order != len(members) or sub.members != members:
+        raise InadmissibleError("member set is not a subgroup")
+    return sub
 
 
 def _close(mul, members, gens):

@@ -24,6 +24,7 @@ from conftest import (
     frobenius21,
     trivial_leaf,
 )
+from membership_oracle import membership_check
 
 Q = sc.QuadField(0)
 K23 = sc.QuadField(-23)
@@ -201,11 +202,6 @@ def test_nested_semidirect_over_mixed_field():
     assert sub.is_full()
 
 
-def test_rt_request_wrapper():
-    req = sc.RtRequest(K23, gt.leaf(3))
-    assert req.run().subgroup.is_full()
-
-
 def test_memoized_direct_square():
     tree = gt.Direct(gt.leaf(3), gt.leaf(3))
     res = sc.rt(K84, tree)
@@ -246,6 +242,21 @@ def test_trace_corrupt_detected():
         sc.rt_trace_replay(broken)
     with pytest.raises(TraceMismatchError):
         sc.rt_trace_replay({"disc": -23})
+    # recorded values the class group rejects are corruption too
+    d3 = sc.rt(K23, gt.dihedral_tree(3)).trace
+    with pytest.raises(TraceMismatchError, match="corrupt trace"):
+        sc.rt_trace_replay({**d3, "disc": -12})  # not fundamental
+    for corrupt in (
+        lambda node: node["w_factors"][0].update(w_generators=[[1, 1, 7]]),  # disc -27
+        lambda node: node["w_factors"][0].update(w_generators=[[0, 1, 6]]),  # a = 0
+        lambda node: node["w_factors"][0].update(exponent=-2),
+        lambda node: node["base"].update(power=-3),
+        lambda node: node.update(members=[[1, 1, 6], ["x", 1, 6]]),  # unsortable
+    ):
+        broken = copy.deepcopy(d3)
+        corrupt(broken["node"])
+        with pytest.raises(TraceMismatchError, match="corrupt trace"):
+            sc.rt_trace_replay(broken)
 
 
 def test_trace_records_stabilization():
@@ -337,23 +348,23 @@ def test_golden_rt_c7_minus56_proper_in_cyclic_c4():
     assert 1 < sub.order < cg.order
 
 
-# -- good membership -------------------------------------------------------------------
+# -- the membership contract (tests/membership_oracle.py) -----------------------------
 
 
 def test_membership_empty():
-    assert rz.membership_check(K23, gt.leaf(3), []) == []
+    assert membership_check(K23, gt.leaf(3), []) == []
 
 
 def test_membership_examples():
     res = sc.rt(K23, gt.leaf(3))
-    reports = rz.membership_check(
+    reports = membership_check(
         K23, gt.leaf(3), [(59, 3)], rt_result=res
     )
     assert reports[0]["ok"] is True
     assert reports[0]["checks"][0]["exponent"] == 2
 
     d3 = gt.dihedral_tree(3)
-    reports = rz.membership_check(K23, d3, [(2, 2)])
+    reports = membership_check(K23, d3, [(2, 2)])
     assert reports[0]["ok"] is True
     assert reports[0]["checks"][0]["exponent"] == 3
 
@@ -394,13 +405,13 @@ def test_membership_always_passes_on_corpus():
                 if order % e:
                     continue
                 admissible = all(
-                    all(sub.contains_class(cls) for sub in by_mod.get(l, ()))
+                    all(cls.index in sub.members for sub in by_mod.get(l, ()))
                     for l in (3, 5)
                     if e % l == 0
                 )
                 if admissible:
                     scenarios.append((p, e))
-        reports = rz.membership_check(field, tree, scenarios, rt_result=res)
+        reports = membership_check(field, tree, scenarios, rt_result=res)
         for rep in reports:
             assert rep["ok"], (name, rep)
 
@@ -408,17 +419,17 @@ def test_membership_always_passes_on_corpus():
 def test_membership_detects_unrealizable_scenario():
     # over disc -84 the class of 2 is outside W(k, 3), so index-3 tame
     # ramification at 2 is impossible; the membership report says so
-    reports = rz.membership_check(K84, gt.leaf(3), [(2, 3)])
+    reports = membership_check(K84, gt.leaf(3), [(2, 3)])
     assert reports[0]["ok"] is False
 
 
 def test_membership_guards():
     with pytest.raises(InadmissibleError):
-        rz.membership_check(K23, gt.leaf(3), [(5, 3)])  # inert p
+        membership_check(K23, gt.leaf(3), [(5, 3)])  # inert p
     with pytest.raises(InadmissibleError):
-        rz.membership_check(K23, gt.leaf(3), [(2, 4)])  # e does not divide
+        membership_check(K23, gt.leaf(3), [(2, 4)])  # e does not divide
     with pytest.raises(InadmissibleError, match="not a prime"):
-        rz.membership_check(K23, gt.leaf(3), [(0, 3)])
+        membership_check(K23, gt.leaf(3), [(0, 3)])
 
 
 # -- answers do not depend on what the class group has cached ---------------------

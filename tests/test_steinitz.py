@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steinitzcalc as sc
-from steinitzcalc import grouptree as gt
 from steinitzcalc.errors import InadmissibleError
 
 K23 = sc.QuadField(-23)
@@ -76,16 +75,6 @@ def test_steinitz_multiplicative():
     assert ab == a * b
 
 
-def test_tower_steinitz():
-    cg = sc.class_group(-23)
-    x = cg.class_of(sc.QuadForm(2, 1, 3))
-    assert sc.tower_steinitz(cg.identity, 7, x) == x
-    assert sc.tower_steinitz(x, cg.order, cg.identity).is_principal
-    assert sc.tower_steinitz(x, 2, cg.identity).form == sc.QuadForm(2, -1, 3)
-    with pytest.raises(InadmissibleError):
-        sc.tower_steinitz(x, 2, sc.class_group(-47).identity)
-
-
 def test_exponent_gcd_examples():
     assert sc.exponent_gcd(3, 3) == (2, True)
     assert sc.exponent_gcd(15, 15) == (2, True)
@@ -101,14 +90,6 @@ def test_exponent_gcd_always_divides(e, mult):
     g, divides = sc.exponent_gcd(e, m)
     assert divides
     assert sc.discriminant_exponent(e, m) % g == 0
-
-
-def test_alpha_abelian_examples():
-    assert sc.alpha_abelian(gt.AbelianGroup((3,))) == 2
-    assert sc.alpha_abelian(gt.AbelianGroup((9, 3))) == 33
-    assert sc.alpha_abelian(gt.AbelianGroup((5,))) == 4
-    with pytest.raises(InadmissibleError):
-        sc.alpha_abelian(gt.AbelianGroup((4,)))
 
 
 def test_alphas_l_examples():
