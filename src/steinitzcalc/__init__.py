@@ -27,9 +27,7 @@ from .classgroup import (
 )
 from .cyclotomic import (
     CycloSubgroup,
-    FixedFieldDescriptor,
     WGroup,
-    fixed_field_descriptor,
     galois_group,
     g_k_mu_tau,
     unit_group,
@@ -86,8 +84,7 @@ __all__ = [
     "Splitting", "class_group", "compose", "is_fundamental", "prime_class",
     "principal_form", "reduce", "splitting", "subgroup_generate",
     # cyclotomic
-    "CycloSubgroup", "FixedFieldDescriptor", "WGroup",
-    "fixed_field_descriptor", "galois_group", "g_k_mu_tau", "unit_group",
+    "CycloSubgroup", "WGroup", "galois_group", "g_k_mu_tau", "unit_group",
     "w_group", "w_norm_character",
     # errors
     "EnumerationCeilingError", "InadmissibleError", "InternalInvariantError",

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _l_part, _prime_factors
+from .grouptree import _is_prime, _l_part, _prime_factors
 
 # Class groups are held in full: the sorted reduced forms (lookups bisect
 # them), a code per class whose digits are its coordinates, and a table of
@@ -138,7 +138,7 @@ class Splitting(enum.Enum):
 
 def splitting(p: int, field: QuadField) -> Splitting:
     """Decomposition type of the rational prime p in the field."""
-    if _prime_factors(p) != [p]:
+    if not _is_prime(p):
         raise InadmissibleError(f"{p} is not a prime")
     if field.is_rationals:
         return Splitting.SPLIT
@@ -162,8 +162,8 @@ class ClassGroup:
     lattice: `_structure_of` computes them in the same coordinates on first
     use and keeps them in `_structures`, keyed by the lattice, so the group
     and every subgroup with that lattice share one answer.  `_w_cache` keeps
-    `cyclotomic.w_norm_character`'s W-groups.  Both live and die with the
-    group (`class_group.cache_clear()`).
+    `cyclotomic.w_norm_character`'s W-groups, each under its Frobenius
+    subgroup S.  Both live and die with the group (`class_group.cache_clear()`).
     """
 
     def __init__(self, disc: int):

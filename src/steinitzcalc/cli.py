@@ -70,9 +70,10 @@ def _cmd_classgroup(args) -> int:
 def _cmd_wgroup(args) -> int:
     field = QuadField(args.disc)
     s = cyclotomic.CycloSubgroup(args.modulus, frozenset(map(_int, args.subgroup.split(","))))
-    wg = cyclotomic.w_group(field, args.modulus, s, bound=args.bound)
+    wg = cyclotomic.w_group(field, s, bound=args.bound)
     sub = wg.subgroup
-    factors, gens = sub.invariant_factors, sub.generator_forms()
+    factors, gen_indices = sub.structure()
+    gens = [sub.group.forms[i] for i in gen_indices]
     payload = {
         "disc": field.disc,
         "modulus": args.modulus,
@@ -175,7 +176,8 @@ def _cmd_rt(args) -> int:
     result = realizable.rt(field, tree, dedupe=not args.no_dedupe)
     sub = result.subgroup
     cg = sub.group
-    factors, gens = sub.invariant_factors, sub.generator_forms()
+    factors, gen_indices = sub.structure()
+    gens = [cg.forms[i] for i in gen_indices]
     trace_file = None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -280,17 +282,17 @@ def _suite_classgroup(chk: _Check, field: QuadField):
 
 def _suite_wgroup(chk: _Check, field: QuadField):
     cg = field.class_group()
-    full_w = cyclotomic.w_group(field, 1, cyclotomic.CycloSubgroup(1, frozenset([0])))
+    full_w = cyclotomic.w_group(field, cyclotomic.CycloSubgroup(1, frozenset([0])))
     chk.ok("wgroup: W(k, k) is the full class group", full_w.subgroup.is_full())
     gal3 = cyclotomic.galois_group(field, 3)
-    w_small = cyclotomic.w_group(field, 3, cyclotomic.CycloSubgroup(3, frozenset([1])))
-    w_big = cyclotomic.w_group(field, 3, gal3)
+    w_small = cyclotomic.w_group(field, cyclotomic.CycloSubgroup(3, frozenset([1])))
+    w_big = cyclotomic.w_group(field, gal3)
     chk.ok(
         "wgroup: monotone in the Frobenius target",
         w_small.subgroup.members <= w_big.subgroup.members,
     )
     again = cyclotomic.w_group(
-        field, 3, cyclotomic.CycloSubgroup(3, frozenset([1])),
+        field, cyclotomic.CycloSubgroup(3, frozenset([1])),
         bound=2 * w_small.certificate.initial_bound,
     )
     chk.ok(

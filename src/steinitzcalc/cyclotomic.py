@@ -2,14 +2,13 @@
 
 Gal(k(zeta_m)/k) embeds in (Z/mZ)* through its action on zeta_m; over Q it
 is everything, over an imaginary quadratic field it is the kernel of the
-quadratic character when the field sits inside Q(zeta_m).  Unit groups, those
-kernels and the exponent sets an action realizes on a kernel element are
-cached (bounded, keyed by modulus, discriminant and group-tree parts), so
-`g_k_mu_tau` derives the field-independent part of a W target once.
+quadratic character when the field sits inside Q(zeta_m).  Unit groups and
+those kernels are cached (bounded, keyed by modulus and discriminant).
 
 W(k, E), for E the fixed field of a subgroup S of that Galois group, is the
 subgroup of Cl(k) generated by classes of degree-1 primes whose Frobenius
-lands in S.
+lands in S.  S alone names the target: its modulus is m, and two targets
+are equal exactly when their moduli and member sets are.
 
 `w_norm_character` computes it in closed form.  The Frobenius of a degree-1
 prime p not dividing m is N(p) mod m, and by Chebotarev in the ray class
@@ -112,23 +111,8 @@ class CycloSubgroup:
     def sorted_members(self):
         return sorted(self.members)
 
-    def contains(self, other: "CycloSubgroup") -> bool:
-        return self.modulus == other.modulus and other.members <= self.members
-
     def __str__(self):
         return f"<{','.join(map(str, self.sorted_members()))}> mod {self.modulus}"
-
-
-@dataclass(frozen=True)
-class FixedFieldDescriptor:
-    """Cache key naming the fixed field of a subgroup of Gal(k(zeta_m)/k)."""
-
-    modulus: int
-    members: tuple
-
-
-def fixed_field_descriptor(s: CycloSubgroup) -> FixedFieldDescriptor:
-    return FixedFieldDescriptor(s.modulus, tuple(s.sorted_members()))
 
 
 @lru_cache(maxsize=_MODULUS_CACHE_SIZE)
@@ -162,27 +146,22 @@ def galois_group(field: QuadField, m: int) -> CycloSubgroup:
 
 
 def g_k_mu_tau(
-    field: QuadField,
-    g_tree: grouptree.GroupTree,
-    mu: grouptree.Action,
-    tau: grouptree.AbElement,
+    field: QuadField, mu: grouptree.Action, tau: grouptree.AbElement
 ) -> CycloSubgroup:
     """Exponents a in Gal(k(zeta_o)/k) realized by the action on tau.
 
-    Collects { a mod o(tau) : mu(g1)(tau) = tau^a for some g1 } and
-    intersects it with the Galois group.  This is a subgroup whenever mu is
-    an action (closure under products and inverses holds by the same
-    calculation that proves it abstractly); failure of that check here is
-    an internal error, not bad input.  `realizable._node_folds` caches the
+    Collects { a mod o(tau) : mu(g1)(tau) = tau^a for some g1 in G }, G the
+    acting tree of mu, and intersects it with the Galois group.  This is a
+    subgroup whenever mu is an action (closure under products and inverses
+    holds by the same calculation that proves it abstractly); failure of
+    that check here is an internal error, not bad input.  `realizable._node_folds` caches the
     results per node, so this runs once per (node, Galois groups).
     """
     h = mu.h
     o = h.element_order(tau)
     if o == 1:
         raise InadmissibleError("tau must not be the identity")
-    if mu.g_tree != g_tree:
-        raise InadmissibleError("action does not belong to the given acting tree")
-    if grouptree.order(g_tree) > grouptree.ENUMERATION_CAP:
+    if grouptree.order(mu.g_tree) > grouptree.ENUMERATION_CAP:
         raise InadmissibleError("acting group exceeds the enumeration cap")
     powers = {}
     cur = h.identity
@@ -190,7 +169,7 @@ def g_k_mu_tau(
         powers.setdefault(cur, a)
         cur = h.add(cur, tau)
     realized = set()
-    for g_el in grouptree.elements(g_tree):
+    for g_el in grouptree.elements(mu.g_tree):
         a = powers.get(mu.apply(g_el, tau))
         if a is not None:
             realized.add(a)
@@ -203,13 +182,11 @@ def g_k_mu_tau(
         ) from exc
 
 
-def _check_target(field: QuadField, m: int, s: CycloSubgroup):
+def _check_target(field: QuadField, s: CycloSubgroup):
     """Reject a Frobenius target that is not a subgroup of Gal(k(zeta_m)/k)."""
-    if s.modulus != m:
-        raise InadmissibleError(f"subgroup modulus {s.modulus} != {m}")
-    gal = galois_group(field, m)
-    if not gal.contains(s):
-        raise InadmissibleError(f"{s} is not inside Gal(k(zeta_{m})/k) = {gal}")
+    gal = galois_group(field, s.modulus)
+    if not s.members <= gal.members:
+        raise InadmissibleError(f"{s} is not inside Gal(k(zeta_{s.modulus})/k) = {gal}")
 
 
 def _unit_values(a: int, b: int, c: int, m: int):
@@ -222,8 +199,9 @@ def _unit_values(a: int, b: int, c: int, m: int):
                 yield v
 
 
-def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgroup:
-    """W(k, E) for E the fixed field of s, as { c : N(c) mod m in s * N_m }.
+def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
+    """W(k, E) for E the fixed field of s, as { c : N(c) mod m in s * N_m },
+    with m = s.modulus.
 
     N_m is the group of unit residues mod m of the principal form (the norms
     of integers coprime to m), and N(c) is a unit value mod m of c's reduced
@@ -242,15 +220,14 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
     every generator's own unit value lies in s * N_m, and the generators
     span the kernel.
 
-    Once s is checked, the result is memoized in the class group's
-    `_w_cache` under the fixed field (m and s's sorted members);
-    `class_group.cache_clear()` drops it with the group.
+    Once s is checked, the result is kept in the class group's `_w_cache`
+    under s itself; `class_group.cache_clear()` drops it with the group.
     """
-    _check_target(field, m, s)
+    _check_target(field, s)
     cg = class_group(field.disc)
-    fixed_field = fixed_field_descriptor(s)
-    if fixed_field in cg._w_cache:
-        return cg._w_cache[fixed_field]
+    if s in cg._w_cache:
+        return cg._w_cache[s]
+    m = s.modulus
     norms = set(_unit_values(*principal_form(field.disc), m))
     target = {a * n % m for a in s.members for n in norms}
 
@@ -287,7 +264,7 @@ def w_norm_character(field: QuadField, m: int, s: CycloSubgroup) -> ClassSubgrou
         raise InternalInvariantError(f"a generator of W is outside the kernel of chi mod {m}")
     if span != hnf:
         raise InternalInvariantError(f"the generators of W do not span the kernel of chi mod {m}")
-    w = cg._w_cache[fixed_field] = ClassSubgroup(cg, hnf, gens)
+    w = cg._w_cache[s] = ClassSubgroup(cg, hnf, gens)
     return w
 
 
@@ -309,7 +286,7 @@ class WCertificate:
 @dataclass(frozen=True)
 class WGroup:
     subgroup: ClassSubgroup
-    descriptor: FixedFieldDescriptor
+    descriptor: CycloSubgroup
     certificate: WCertificate
 
 
@@ -321,13 +298,13 @@ def default_initial_bound(field: QuadField, m: int) -> int:
 
 def w_group(
     field: QuadField,
-    m: int,
     s: CycloSubgroup,
     bound: int = None,
     ceiling: int = None,
 ) -> WGroup:
     """Subgroup of Cl(k) generated by classes of degree-1 primes p with
-    p mod m in s (p not dividing m; split and ramified primes both count).
+    p mod m in s, m = s.modulus (p not dividing m; split and ramified primes
+    both count).
 
     Scans [2, bound], then doubling windows until the generated subgroup is
     unchanged across two consecutive windows with at least one qualifying
@@ -336,9 +313,8 @@ def w_group(
     prime was ever found (a configuration error; qualifying primes have
     positive density) or the subgroup kept growing.
     """
-    _check_target(field, m, s)
-    descriptor = fixed_field_descriptor(s)
-
+    _check_target(field, s)
+    m = s.modulus
     cg = class_group(field.disc)
     if bound is None:
         bound = default_initial_bound(field, m)
@@ -381,7 +357,7 @@ def w_group(
     windows = []
     if full():  # trivial class group: nothing to enumerate
         cert = WCertificate(bound, 0, (), 0, True)
-        return WGroup(w, descriptor, cert)
+        return WGroup(w, s, cert)
 
     windows.append((2, bound, scan(2, bound + 1)))
     quiet = 0
@@ -409,5 +385,5 @@ def w_group(
         qualifying_hits=n_qual,
         full_group_early_exit=full() and quiet < 2,
     )
-    return WGroup(w, descriptor, cert)
+    return WGroup(w, s, cert)
 

@@ -57,6 +57,21 @@ def _prime_factors(n: int):
     return out
 
 
+# Largest integer `_is_prime` tests: trial division to its square root takes
+# under a second, and a larger one is rejected rather than left to run.
+PRIME_TEST_CAP = 10**14
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is a prime, by trial division; n above PRIME_TEST_CAP is
+    inadmissible."""
+    if n > PRIME_TEST_CAP:
+        raise InadmissibleError(
+            f"{n} exceeds {PRIME_TEST_CAP}, the largest integer tested for primality"
+        )
+    return _prime_factors(n) == [n]
+
+
 # -- abelian groups and their elements ----------------------------------------
 
 
@@ -239,7 +254,7 @@ def inversion_action(h: AbelianGroup, g_tree: "GroupTree", on) -> Action:
     return validate_action(h, g_tree, [(on, inv)])
 
 
-def validate_action(h: AbelianGroup, g_tree: "GroupTree", mu, cap: int = None):
+def validate_action(h: AbelianGroup, g_tree: "GroupTree", mu):
     """Complete an action given on a generating set and verify it.
 
     `mu` is an Action or an iterable of (tree element of g, matrix) pairs.
@@ -249,10 +264,9 @@ def validate_action(h: AbelianGroup, g_tree: "GroupTree", mu, cap: int = None):
     acting group larger than the enumeration cap.  Verifying an already
     complete table returns an equal Action (idempotence).
     """
-    cap = ENUMERATION_CAP if cap is None else cap
     n_g = order(g_tree)
-    if n_g > cap:
-        raise InadmissibleError(f"acting group order {n_g} exceeds cap {cap}")
+    if n_g > ENUMERATION_CAP:
+        raise InadmissibleError(f"acting group order {n_g} exceeds cap {ENUMERATION_CAP}")
     factors = h.invariant_factors
     r = h.rank
 

@@ -23,7 +23,7 @@ The engine accepts exactly the tree shapes the underlying theorems cover
 nodes with odd kernel of coprime order, direct nodes under the parity rule.
 
 Every run records a replayable trace: per node, the formula instance, the
-W descriptors with their generators, and the resulting subgroup.  The run
+W targets with their generators, and the resulting subgroup.  The run
 keeps the group tree, each node's subgroup and each W factor's raw fold
 (`_WFold`); `RtResult.trace` turns them into the tree's spec, the member
 forms and the W entries on first access, so a query that writes no trace
@@ -39,7 +39,7 @@ prime enumeration `cyclotomic.w_group`.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from functools import cached_property, lru_cache
 
 from . import cyclotomic, grouptree
@@ -112,24 +112,17 @@ class _Engine:
         self.field = field
         self.cg = class_group(field.disc)
         self.dedupe = dedupe
-        self._memo = {}
 
     # -- recursion -------------------------------------------------------------
 
     def run(self, tree):
-        hit = self._memo.get(tree)
-        if hit is not None:
-            return hit
         if isinstance(tree, grouptree.AbelianLeaf):
-            out = self._leaf(tree)
-        elif isinstance(tree, grouptree.Semidirect):
-            out = self._semidirect(tree)
-        elif isinstance(tree, grouptree.Direct):
-            out = self._direct(tree)
-        else:
-            raise InadmissibleError(f"not a group tree: {tree!r}")
-        self._memo[tree] = out
-        return out
+            return self._leaf(tree)
+        if isinstance(tree, grouptree.Semidirect):
+            return self._semidirect(tree)
+        if isinstance(tree, grouptree.Direct):
+            return self._direct(tree)
+        raise InadmissibleError(f"not a group tree: {tree!r}")
 
     def _leaf(self, tree):
         h = tree.group
@@ -142,7 +135,7 @@ class _Engine:
             }
             return sub, trace
         sub = self.cg.trivial_subgroup()
-        sub, w_entries = self._apply_w_product(sub, h, g_tree=None, mu=None, m=1)
+        sub, w_entries = self._apply_w_product(sub, h, mu=None, m=1)
         trace = {
             "kind": "abelian-leaf",
             "order": h.order,
@@ -157,7 +150,7 @@ class _Engine:
         n = tree.h.order
         m = grouptree.order(tree.g)
         sub = base_sub.power(n)
-        sub, w_entries = self._apply_w_product(sub, tree.h, tree.g, tree.mu, m)
+        sub, w_entries = self._apply_w_product(sub, tree.h, tree.mu, m)
         trace = {
             "kind": "semidirect",
             "order": n * m,
@@ -182,13 +175,13 @@ class _Engine:
         }
         return sub, trace
 
-    def _apply_w_product(self, sub, h, g_tree, mu, m):
+    def _apply_w_product(self, sub, h, mu, m):
         """Fold the W(k, E_tau)^exp factors over tau in H(l)\\{1} into sub."""
         entries = []
-        for s, exp, count, o in _node_folds(self.field, h, g_tree, mu, m, self.dedupe):
-            w_sub = cyclotomic.w_norm_character(self.field, s.modulus, s)
+        for s, exp, count in _node_folds(self.field, h, mu, m, self.dedupe):
+            w_sub = cyclotomic.w_norm_character(self.field, s)
             sub = sub.product(w_sub.power(exp))
-            entries.append(_WFold(s, exp, count, o, w_sub))
+            entries.append(_WFold(s, exp, count, w_sub))
         return sub, entries
 
 
@@ -217,35 +210,32 @@ def _tau_exponents(h, m):
     return tuple(taus), tuple(sorted({o for _, o, _ in taus}))
 
 
-def _node_folds(field, h, g_tree, mu, m, dedupe):
-    """The node's W factors over `field` as (s, exponent, tau count, o(tau)):
-    the Frobenius target s of each tau (the realized exponents inside
-    Gal(k(zeta_o)/k); {1} in a leaf), grouped by (fixed field, exponent)
-    under `dedupe`.  The field enters only through the Galois groups of the
-    moduli o(tau), so the list is cached under (node, dedupe, those groups)
-    and fields with the same Galois groups share it."""
+def _node_folds(field, h, mu, m, dedupe):
+    """The node's W factors over `field` as (s, exponent, tau count): the
+    Frobenius target s of each tau (the realized exponents inside
+    Gal(k(zeta_o)/k), so s.modulus = o(tau); {1} in a leaf, where mu is
+    None), grouped by (s, exponent) under `dedupe`.  The field enters only
+    through the Galois groups of the moduli o(tau), so the list is cached
+    under (node, dedupe, those groups) and fields with the same Galois
+    groups share it."""
     taus, moduli = _tau_exponents(h, m)
     gals = tuple(cyclotomic.galois_group(field, o) for o in moduli)
-    key = (h, g_tree, mu, m, dedupe, gals)
+    key = (h, mu, m, dedupe, gals)
     folds = _fold_cache.get(key)
     if folds is not None:
         _fold_cache.move_to_end(key)
         return folds
     contributions = []
     for tau, o, exp in taus:
-        if g_tree is None:
+        if mu is None:
             s = cyclotomic.CycloSubgroup(o, frozenset([1]))
         else:
-            s = cyclotomic.g_k_mu_tau(field, g_tree, mu, tau)
-        contributions.append((s, exp, o))
+            s = cyclotomic.g_k_mu_tau(field, mu, tau)
+        contributions.append((s, exp))
     if dedupe:
-        grouped = {}
-        for s, exp, o in contributions:
-            fold = grouped.setdefault((cyclotomic.fixed_field_descriptor(s), exp), [s, exp, 0, o])
-            fold[2] += 1
-        folds = tuple(tuple(fold) for fold in grouped.values())
+        folds = tuple((s, exp, count) for (s, exp), count in Counter(contributions).items())
     else:
-        folds = tuple((s, exp, 1, o) for s, exp, o in contributions)
+        folds = tuple((s, exp, 1) for s, exp in contributions)
     _fold_cache[key] = folds
     if len(_fold_cache) > _FOLD_CACHE_SIZE:
         _fold_cache.popitem(last=False)
@@ -262,17 +252,17 @@ def clear_caches():
 
 
 # One W(k, E)^exp factor folded into a node, as the run keeps it for the trace.
-_WFold = namedtuple("_WFold", "s exp tau_count order_tau w_sub")
+_WFold = namedtuple("_WFold", "s exp tau_count w_sub")
 
 
-def _w_entry(s, exp, tau_count, order_tau, w_sub) -> dict:
+def _w_entry(s, exp, tau_count, w_sub) -> dict:
     """Trace record of one W(k, E)^exp factor folded into a node."""
     return {
         "modulus": s.modulus,
         "frobenius_subgroup": s.sorted_members(),
         "exponent": exp,
         "tau_count": tau_count,
-        "order_tau": order_tau,
+        "order_tau": s.modulus,
         "w_generators": [list(w_sub.group.forms[i].as_tuple()) for i in w_sub.generators],
     }
 
@@ -316,10 +306,10 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
             members = frozenset(a for a in gal.members if a % o in {1 % o, (o - 1) % o})
             s = cyclotomic.CycloSubgroup(o, members)
             exp = (l - 1) * (n // o)
-            w_sub = cyclotomic.w_group(field, o, s, bound=bound).subgroup
+            w_sub = cyclotomic.w_group(field, s, bound=bound).subgroup
             sub = sub.product(w_sub.power(exp))
             # tau_count: the phi(o) = o - o/l elements of order o in C(n)
-            entries.append(_WFold(s, exp, o - o // l, o, w_sub))
+            entries.append(_WFold(s, exp, o - o // l, w_sub))
             o *= l
     node = {
         "kind": "dihedral",

@@ -29,7 +29,7 @@ from .classgroup import (
     splitting,
 )
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _l_part as l_part, _prime_factors
+from .grouptree import _is_prime, _l_part as l_part, _prime_factors
 
 
 def discriminant_exponent(e: int, n: int) -> int:
@@ -103,7 +103,7 @@ def exponent_gcd(e: int, m: int):
 
 
 def _check_l_otau_n(l: int, o_tau: int, n: int):
-    if l % 2 == 0 or _prime_factors(l) != [l]:
+    if l % 2 == 0 or not _is_prime(l):
         raise InadmissibleError(f"l={l} must be an odd prime")
     if o_tau < l or l_part(o_tau, l) != o_tau:
         raise InadmissibleError(f"o(tau)={o_tau} must be a power of l={l} (>= l)")

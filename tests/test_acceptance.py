@@ -191,10 +191,10 @@ def test_criterion_07_w_stabilization():
             field = sc.QuadField(disc)
             s = sc.CycloSubgroup(modulus, frozenset(members))
             bound = default_initial_bound(field, modulus)
-            base = sc.w_group(field, modulus, s, bound=bound)
-            rerun = sc.w_group(field, modulus, s, bound=4 * bound)
+            base = sc.w_group(field, s, bound=bound)
+            rerun = sc.w_group(field, s, bound=4 * bound)
             assert base.subgroup == rerun.subgroup, (disc, modulus, members)
-            closed = sc.w_norm_character(field, modulus, s)
+            closed = sc.w_norm_character(field, s)
             assert closed == base.subgroup, (disc, modulus, members)
 
     _criterion(

@@ -560,7 +560,7 @@ def test_w_norm_character_generators_are_closure_grown(disc):
     for m in (3, 4, 5, 7, 9):
         gal = sc.cyclotomic.galois_group(field, m)
         for s in (sc.cyclotomic.CycloSubgroup(m, frozenset([1])), gal):
-            w = sc.cyclotomic.w_norm_character(field, m, s)
+            w = sc.cyclotomic.w_norm_character(field, s)
             closed, grown = _close(cg.compose_idx, [cg.principal_index], sorted(w.members))
             assert closed == w.members
             assert list(w.generators) == grown, (m, s)

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import _kernels, cli, realizable
+from steinitzcalc import _kernels, cli, grouptree, realizable
 from steinitzcalc.cli import main
 
 
@@ -215,6 +216,35 @@ def test_disc_far_beyond_cap_exit_2():
     r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
     assert "exceeds the supported cap" in r.stderr
+
+
+BIG_PRIME = "1000000000000000003"  # a prime of 19 digits, above PRIME_TEST_CAP
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("steinitz", "--disc", "-23", "--ram", f"{BIG_PRIME}:3", "--order", "3"),
+        ("exponents", "--l", BIG_PRIME, "--otau", BIG_PRIME, "--n", BIG_PRIME),
+    ],
+)
+def test_prime_above_the_test_cap_exit_2(capture, argv):
+    # trial division to sqrt(10^18) would run for minutes; the cap is
+    # checked before any of it
+    start = perf_counter()
+    code, out, err = capture(*argv)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{BIG_PRIME} exceeds {grouptree.PRIME_TEST_CAP}" in err
+
+
+def test_prime_below_the_test_cap_still_answers(capture):
+    p = "10000000000037"
+    assert int(p) <= grouptree.PRIME_TEST_CAP
+    code, out, _ = capture("steinitz", "--disc", "-23", "--ram", f"{p}:3", "--order", "3")
+    assert code == 0 and out == "st = (2,-1,3)\n"
+    code, out, _ = capture("exponents", "--l", p, "--otau", p, "--n", p, "--json")
+    assert code == 0 and json.loads(out)["beta"] == 5000000000018
 
 
 def test_parser_built_once(capture, monkeypatch):

@@ -13,7 +13,6 @@ from steinitzcalc import grouptree as gt
 from steinitzcalc.cyclotomic import (
     CycloSubgroup,
     default_initial_bound,
-    fixed_field_descriptor,
     galois_group,
     g_k_mu_tau,
     unit_group,
@@ -50,12 +49,14 @@ def test_subgroup_validation():
     assert CycloSubgroup(1, frozenset([0])).order == 1
 
 
-def test_descriptor_equality():
-    d1 = fixed_field_descriptor(CycloSubgroup(7, frozenset([1, 6])))
-    d2 = fixed_field_descriptor(CycloSubgroup(7, frozenset([6, 1])))
-    d3 = fixed_field_descriptor(CycloSubgroup(7, frozenset([1, 2, 4])))
-    assert d1 == d2 and d1 != d3
-    assert d1.members == (1, 6)
+def test_subgroup_equality_and_hash():
+    # a W target is keyed by its CycloSubgroup: equal exactly when the
+    # modulus and the reduced member set are
+    s1 = CycloSubgroup(7, frozenset([1, 6]))
+    s2 = CycloSubgroup(7, frozenset([6, 8]))
+    assert s1 == s2 and hash(s1) == hash(s2) and {s1: 0}[s2] == 0
+    assert s1 != CycloSubgroup(7, frozenset([1, 2, 4]))
+    assert CycloSubgroup(3, frozenset([1])) != CycloSubgroup(5, frozenset([1]))
 
 
 # -- galois_group -------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_g_k_mu_tau_trivial_acting_group():
     h = gt.AbelianGroup((7,))
     trivial = gt.AbelianLeaf(gt.AbelianGroup(()))
     mu = gt.trivial_action(h, trivial)
-    s = g_k_mu_tau(Q, trivial, mu, h.element((1,)))
+    s = g_k_mu_tau(Q, mu, h.element((1,)))
     assert s.sorted_members() == [1]
 
 
@@ -99,7 +100,7 @@ def test_g_k_mu_tau_inversion():
     h = gt.AbelianGroup((9,))
     c2 = gt.leaf(2)
     mu = gt.inversion_action(h, c2, gt.AbElement((1,)))
-    s = g_k_mu_tau(Q, c2, mu, h.element((1,)))
+    s = g_k_mu_tau(Q, mu, h.element((1,)))
     assert s.sorted_members() == [1, 8]
 
 
@@ -107,7 +108,7 @@ def test_g_k_mu_tau_frobenius_orbit():
     h = gt.AbelianGroup((7,))
     c3 = gt.leaf(3)
     mu = gt.validate_action(h, c3, [(gt.AbElement((1,)), [[2]])])
-    s = g_k_mu_tau(Q, c3, mu, h.element((1,)))
+    s = g_k_mu_tau(Q, mu, h.element((1,)))
     assert s.sorted_members() == [1, 2, 4]
 
 
@@ -116,7 +117,7 @@ def test_g_k_mu_tau_outside_cyclic_span():
     h = gt.AbelianGroup((3, 3))
     c2 = gt.leaf(2)
     mu = gt.validate_action(h, c2, [(gt.AbElement((1,)), [[0, 1], [1, 0]])])
-    s = g_k_mu_tau(Q, c2, mu, h.element((1, 0)))
+    s = g_k_mu_tau(Q, mu, h.element((1, 0)))
     assert s.sorted_members() == [1]
 
 
@@ -125,7 +126,7 @@ def test_g_k_mu_tau_identity_rejected():
     trivial = gt.AbelianLeaf(gt.AbelianGroup(()))
     mu = gt.trivial_action(h, trivial)
     with pytest.raises(InadmissibleError):
-        g_k_mu_tau(Q, trivial, mu, h.identity)
+        g_k_mu_tau(Q, mu, h.identity)
 
 
 def test_g_k_mu_tau_is_subgroup_on_corpus():
@@ -138,7 +139,7 @@ def test_g_k_mu_tau_is_subgroup_on_corpus():
         for tau in h.elements():
             if tau == h.identity:
                 continue
-            s = g_k_mu_tau(field, c2, mu, tau)
+            s = g_k_mu_tau(field, mu, tau)
             assert 1 in s.members
 
 
@@ -193,8 +194,8 @@ def test_cached_g_k_mu_tau_matches_direct_computation():
                     if tau == node.h.identity:
                         continue
                     want = _direct_g_k_mu_tau(field, node.g, node.mu, tau)
-                    assert g_k_mu_tau(field, node.g, node.mu, tau) == want
-                    assert g_k_mu_tau(field, node.g, node.mu, tau) == want
+                    assert g_k_mu_tau(field, node.mu, tau) == want
+                    assert g_k_mu_tau(field, node.mu, tau) == want
                     checked += 1
     assert checked == 42 * len(ORACLE_DISCS)
 
@@ -204,57 +205,54 @@ def test_g_k_mu_tau_raises_on_warm_cache():
     c3 = gt.leaf(3)
     mu = gt.validate_action(h, c3, [(gt.AbElement((1,)), [[2]])])
     tau = h.element((1,))
-    assert g_k_mu_tau(Q, c3, mu, tau).sorted_members() == [1, 2, 4]
-    foreign = gt.validate_action(h, gt.leaf(2), [(gt.AbElement((1,)), [[-1]])])
+    assert g_k_mu_tau(Q, mu, tau).sorted_members() == [1, 2, 4]
     big = gt.leaf(gt.ENUMERATION_CAP + 1)
     over_cap = gt.Action(h, big, {})  # no table: the cap check comes first
     for _ in range(2):
         with pytest.raises(InadmissibleError, match="identity"):
-            g_k_mu_tau(Q, c3, mu, h.identity)
-        with pytest.raises(InadmissibleError, match="does not belong"):
-            g_k_mu_tau(Q, c3, foreign, tau)
+            g_k_mu_tau(Q, mu, h.identity)
         with pytest.raises(InadmissibleError, match="enumeration cap"):
-            g_k_mu_tau(Q, big, over_cap, tau)
-    assert g_k_mu_tau(Q, c3, mu, tau).sorted_members() == [1, 2, 4]
+            g_k_mu_tau(Q, over_cap, tau)
+    assert g_k_mu_tau(Q, mu, tau).sorted_members() == [1, 2, 4]
 
 
 # -- w_group ------------------------------------------------------------------------
 
 
 def test_w_group_rationals_trivial():
-    wg = w_group(Q, 5, CycloSubgroup(5, frozenset([1])))
+    wg = w_group(Q, CycloSubgroup(5, frozenset([1])))
     assert wg.subgroup.is_trivial() and wg.subgroup.is_full()
 
 
 def test_w_group_modulus_one_full():
-    wg = w_group(K23, 1, CycloSubgroup(1, frozenset([0])))
+    wg = w_group(K23, CycloSubgroup(1, frozenset([0])))
     assert wg.subgroup.is_full()
     assert wg.certificate.qualifying_hits > 0
 
 
 def test_w_group_minus23_m3_full():
-    wg = w_group(K23, 3, CycloSubgroup(3, frozenset([1])))
+    wg = w_group(K23, CycloSubgroup(3, frozenset([1])))
     assert wg.subgroup.is_full()
     # independent witness: p = 13 = 1 mod 3 splits, class (2,-1,3)
     assert sc.prime_class(13, K23).form.as_tuple() in {(2, 1, 3), (2, -1, 3)}
 
 
 def test_w_group_proper_subgroups():
-    w84 = w_group(K84, 3, CycloSubgroup(3, frozenset([1])))
+    w84 = w_group(K84, CycloSubgroup(3, frozenset([1])))
     assert [f.as_tuple() for f in w84.subgroup.member_forms()] == [
         (1, 0, 21),
         (3, 0, 7),
     ]
     assert not w84.certificate.full_group_early_exit
     assert w84.certificate.windows[-1][2] == 0 and w84.certificate.windows[-2][2] == 0
-    w15 = w_group(K15, 5, CycloSubgroup(5, frozenset([1])))
+    w15 = w_group(K15, CycloSubgroup(5, frozenset([1])))
     assert w15.subgroup.is_trivial()
 
 
 def test_w_group_genus_character_kernel():
     # k(zeta_7) meets the Hilbert class field of Q(sqrt(-84)) in k(sqrt(-7));
     # the squares mod 7 fix it, so W is the kernel of the -7 genus character
-    w = w_group(K84, 7, CycloSubgroup(7, frozenset([1, 2, 4])))
+    w = w_group(K84, CycloSubgroup(7, frozenset([1, 2, 4])))
     assert [f.as_tuple() for f in w.subgroup.member_forms()] == [
         (1, 0, 21),
         (2, 2, 11),
@@ -262,37 +260,35 @@ def test_w_group_genus_character_kernel():
 
 
 def test_w_group_monotone():
-    small = w_group(K84, 3, CycloSubgroup(3, frozenset([1])))
-    big = w_group(K84, 3, galois_group(K84, 3))
+    small = w_group(K84, CycloSubgroup(3, frozenset([1])))
+    big = w_group(K84, galois_group(K84, 3))
     assert small.subgroup.members <= big.subgroup.members
 
 
 def test_w_group_full_galois_target_is_full():
     for disc in (-23, -47, -84, -120, -231, -499, -4999):
         field = sc.QuadField(disc)
-        wg = w_group(field, 3, galois_group(field, 3))
+        wg = w_group(field, galois_group(field, 3))
         assert wg.subgroup.is_full(), disc
 
 
 def test_w_group_stabilization_bound_invariance():
     s = CycloSubgroup(3, frozenset([1]))
-    base = w_group(K84, 3, s)
-    rerun = w_group(K84, 3, s, bound=4 * base.certificate.initial_bound)
+    base = w_group(K84, s)
+    rerun = w_group(K84, s, bound=4 * base.certificate.initial_bound)
     assert base.subgroup == rerun.subgroup
 
 
 def test_w_group_bad_subgroup_rejected():
-    with pytest.raises(InadmissibleError):
-        w_group(K23, 3, CycloSubgroup(5, frozenset([1])))
     # members outside the Galois group: kernel over Q(sqrt(-3)) mod 3 is {1}
     with pytest.raises(InadmissibleError):
-        w_group(sc.QuadField(-3), 3, unit_group(3))
+        w_group(sc.QuadField(-3), unit_group(3))
 
 
 def test_w_group_ceiling_error():
     s = CycloSubgroup(3, frozenset([1]))
     with pytest.raises(EnumerationCeilingError):
-        w_group(K84, 3, s, bound=100, ceiling=120)
+        w_group(K84, s, bound=100, ceiling=120)
 
 
 def test_default_initial_bound_monotone_cap():
@@ -337,8 +333,8 @@ def test_w_norm_character_matches_enumeration(disc):
     for m in DIFF_MODULI:
         for members in _cyclo_subgroups(galois_group(field, m)):
             s = CycloSubgroup(m, members)
-            closed = w_norm_character(field, m, s)
-            oracle = w_group(field, m, s).subgroup
+            closed = w_norm_character(field, s)
+            oracle = w_group(field, s).subgroup
             assert closed.members == oracle.members, (disc, m, sorted(members))
             assert closed == sc.subgroup_generate(
                 closed.group, [sc.IdealClass(closed.group, i) for i in closed.generators]
@@ -347,9 +343,7 @@ def test_w_norm_character_matches_enumeration(disc):
 
 def test_w_norm_character_rejects_bad_targets():
     with pytest.raises(InadmissibleError):
-        w_norm_character(K23, 3, CycloSubgroup(5, frozenset([1])))
-    with pytest.raises(InadmissibleError):
-        w_norm_character(sc.QuadField(-3), 3, unit_group(3))
+        w_norm_character(sc.QuadField(-3), unit_group(3))
 
 
 # -- w_norm_character: the kernel against the per-form norm oracle -------------------
@@ -393,7 +387,7 @@ def test_w_norm_character_matches_per_form_oracle():
             x = x * a % m
         for members in (gal.members, frozenset([1 % m]), frozenset(cyclic)):
             s = CycloSubgroup(m, members)
-            w = w_norm_character(field, m, s)
+            w = w_norm_character(field, s)
             oracle = subgroup_from_members(cg, _w_members_by_norm(field, m, s))
             assert (w.hnf, w.generators) == (oracle.hnf, oracle.generators), (disc, m, sorted(members))
             proper += not w.is_full()
@@ -419,7 +413,7 @@ def test_w_norm_character_checks_kernel_and_image_orders(monkeypatch):
     # order 2 in (Z/23)*/squares, but Cl = C3 has no element of order 2
     _corrupt_unit_values(monkeypatch, -23, 5)
     with pytest.raises(InternalInvariantError, match="kernel of order 3 and image of order 2"):
-        w_norm_character(sc.QuadField(-23), 23, CycloSubgroup(23, frozenset([1])))
+        w_norm_character(sc.QuadField(-23), CycloSubgroup(23, frozenset([1])))
 
 
 def test_w_norm_character_checks_generator_values(monkeypatch):
@@ -427,7 +421,7 @@ def test_w_norm_character_checks_generator_values(monkeypatch):
     # holds a generator whose own (corrupted) value lies outside s * N_m
     _corrupt_unit_values(monkeypatch, -420, 3)
     with pytest.raises(InternalInvariantError, match="generator of W is outside"):
-        w_norm_character(sc.QuadField(-420), 4, CycloSubgroup(4, frozenset([1])))
+        w_norm_character(sc.QuadField(-420), CycloSubgroup(4, frozenset([1])))
 
 
 def test_w_norm_character_checks_generators_span(monkeypatch):
@@ -436,7 +430,7 @@ def test_w_norm_character_checks_generators_span(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_grow", lambda cg, hnf, cands, stop: real(cg, hnf, cands, 1))
     sc.class_group.cache_clear()
     with pytest.raises(InternalInvariantError, match="do not span"):
-        w_norm_character(sc.QuadField(-23), 3, CycloSubgroup(3, frozenset([1])))
+        w_norm_character(sc.QuadField(-23), CycloSubgroup(3, frozenset([1])))
 
 
 # -- the W cache on the class group -------------------------------------------------
@@ -445,11 +439,11 @@ def test_w_norm_character_checks_generators_span(monkeypatch):
 def test_w_norm_character_cached_on_class_group():
     k = sc.QuadField(-1155)
     s = CycloSubgroup(3, frozenset([1]))
-    first = w_norm_character(k, 3, s)
-    assert w_norm_character(k, 3, CycloSubgroup(3, frozenset([1]))) is first
-    assert first.group._w_cache[fixed_field_descriptor(s)] is first
+    first = w_norm_character(k, s)
+    assert w_norm_character(k, CycloSubgroup(3, frozenset([1]))) is first
+    assert first.group._w_cache[s] is first
     sc.class_group.cache_clear()
-    again = w_norm_character(k, 3, s)
+    again = w_norm_character(k, s)
     assert again is not first and again.group is not first.group
     assert again.members == first.members and again.generators == first.generators
 
@@ -461,25 +455,23 @@ def test_cached_w_enumerates_its_members_on_first_read(disc, m):
     # unit values of the principal form
     sc.class_group.cache_clear()
     field, s = sc.QuadField(disc), CycloSubgroup(m, frozenset([1]))
-    w = w_norm_character(field, m, s)
+    w = w_norm_character(field, s)
     assert "members" not in vars(w)
     want = _w_members_by_norm(field, m, s)
     assert 1 < len(want) < w.group.order
     assert w.members == want
-    assert w.group._w_cache[fixed_field_descriptor(s)] is w
+    assert w.group._w_cache[s] is w
 
 
 def test_w_norm_character_checks_targets_on_a_warm_cache(monkeypatch):
     k = sc.QuadField(-3)
     good, bad = CycloSubgroup(3, frozenset([1])), unit_group(3)
-    w_norm_character(k, 3, good)
+    w_norm_character(k, good)
     cg = sc.class_group(-3)
     # a cached entry under the rejected target must not bypass the check
-    monkeypatch.setitem(cg._w_cache, fixed_field_descriptor(bad), cg.full_subgroup())
+    monkeypatch.setitem(cg._w_cache, bad, cg.full_subgroup())
     with pytest.raises(InadmissibleError):
-        w_norm_character(k, 3, bad)
-    with pytest.raises(InadmissibleError):
-        w_norm_character(k, 3, CycloSubgroup(5, frozenset([1])))
+        w_norm_character(k, bad)
 
 
 # -- genus theory ------------------------------------------------------------------
@@ -497,8 +489,8 @@ def test_rt_w_groups_obey_genus_theory(monkeypatch):
     requested = []
     w_norm = cyclotomic.w_norm_character
 
-    def record(field, m, s):
-        w = w_norm(field, m, s)
+    def record(field, s):
+        w = w_norm(field, s)
         requested.append(w)
         return w
 

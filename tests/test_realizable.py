@@ -164,7 +164,7 @@ def _abelian_rt_oracle(field, factors):
     for l in sorted({p for f in factors for p in _prime_factors_local(f)}):
         o = l
         while o <= l_part(factors[0], l):
-            w = sc.w_group(field, o, sc.CycloSubgroup(o, frozenset([1])))
+            w = sc.w_group(field, sc.CycloSubgroup(o, frozenset([1])))
             out = out.product(w.subgroup.power(((l - 1) // 2) * (n // o)))
             o *= l
     return out
