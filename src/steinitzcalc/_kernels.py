@@ -241,7 +241,7 @@ def scan_w_forms(disc: int, m: int, members, lo: int, hi: int):
     for p in primes_in_range(lo, hi):
         if m % p == 0:
             continue
-        if (p % m if m > 1 else 0) not in members:
+        if p % m not in members:
             continue
         f = prime_form(disc, p)
         if f is None:

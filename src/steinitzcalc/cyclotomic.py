@@ -4,6 +4,8 @@ Gal(k(zeta_m)/k) embeds in (Z/mZ)* through its action on zeta_m; over Q it
 is everything, over an imaginary quadratic field it is the kernel of the
 quadratic character when the field sits inside Q(zeta_m).  Unit groups and
 those kernels are cached (bounded, keyed by modulus and discriminant).
+Residues are Python's `a % m`, so (Z/1Z)* = {0} needs no case of its own.
+Every W target passes `galois_group`, which refuses m > MAX_MODULUS.
 
 W(k, E), for E the fixed field of a subgroup S of that Galois group, is the
 subgroup of Cl(k) generated by classes of degree-1 primes whose Frobenius
@@ -59,6 +61,8 @@ from .errors import (
 DEFAULT_HARD_CEILING = 100_000_000
 INITIAL_BOUND_CAP = 1_000_000
 _SCAN_CHUNK = 1 << 16
+# The largest W modulus m = o(tau): N_m and the unit group cost m^2 steps.
+MAX_MODULUS = 1000
 # Bound of the per-modulus caches (unit groups, Kronecker kernels): far
 # above what one corpus of trees meets.
 _MODULUS_CACHE_SIZE = 256
@@ -76,7 +80,8 @@ def hard_ceiling() -> int:
 
 @dataclass(frozen=True)
 class CycloSubgroup:
-    """A subgroup of (Z/mZ)*, given by its sorted member set."""
+    """A subgroup of (Z/mZ)*, given by its sorted member set: units mod m,
+    closed under products, so closed under a^-1 = a^(ord(a) - 1) too."""
 
     modulus: int
     members: frozenset
@@ -85,19 +90,13 @@ class CycloSubgroup:
         m = self.modulus
         if m < 1:
             raise InadmissibleError(f"modulus {m} < 1")
-        mem = frozenset(int(a) % m if m > 1 else 0 for a in self.members)
+        mem = frozenset(int(a) % m for a in self.members)
         object.__setattr__(self, "members", mem)
-        if m == 1:
-            if mem != frozenset([0]):
-                raise InadmissibleError("mod-1 subgroup must be {0}")
-            return
-        if 1 not in mem:
+        if 1 % m not in mem:
             raise InadmissibleError("subgroup must contain 1")
         for a in mem:
             if gcd(a, m) != 1:
                 raise InadmissibleError(f"member {a} not coprime to {m}")
-            if pow(a, -1, m) not in mem:
-                raise InadmissibleError(f"member set not closed under inverse ({a})")
             for b in mem:
                 if (a * b) % m not in mem:
                     raise InadmissibleError(
@@ -118,8 +117,6 @@ class CycloSubgroup:
 @lru_cache(maxsize=_MODULUS_CACHE_SIZE)
 def unit_group(m: int) -> CycloSubgroup:
     """(Z/mZ)*, built (and closure-checked) once per modulus."""
-    if m == 1:
-        return CycloSubgroup(1, frozenset([0]))
     return CycloSubgroup(m, frozenset(a for a in range(1, m + 1) if gcd(a, m) == 1))
 
 
@@ -140,7 +137,9 @@ def galois_group(field: QuadField, m: int) -> CycloSubgroup:
     """
     if m < 1:
         raise InadmissibleError(f"modulus {m} < 1")
-    if field.is_rationals or m == 1 or m % (-field.disc):
+    if m > MAX_MODULUS:
+        raise InadmissibleError(f"modulus {m} exceeds the cap {MAX_MODULUS}")
+    if field.is_rationals or m % (-field.disc):
         return unit_group(m)
     return _kronecker_kernel(field.disc, m)
 

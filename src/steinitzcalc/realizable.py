@@ -14,10 +14,12 @@ action, powers of a subgroup mean images under x -> x^e, and W-groups come
 from the norm character (`cyclotomic.w_norm_character`), with no prime
 enumeration, kept in the class group until `class_group.cache_clear()`.
 A node's W targets (the tau list with its exponents, each tau's Frobenius
-subgroup from `cyclotomic.g_k_mu_tau`, the dedupe grouping) depend on the
-field only through the Galois groups of the moduli o(tau); they are derived
-once per (node, dedupe, Galois groups) and kept in bounded module-level
-caches that hold no class group (`clear_caches` empties them).
+subgroup from `cyclotomic.g_k_mu_tau`, grouped by equal target and
+exponent) depend on the field only through the Galois groups of the moduli
+o(tau); they are derived once per (node, Galois groups) and kept in bounded
+module-level caches that hold no class group (`clear_caches` empties them).
+A subgroup times itself is itself, so each distinct W(k, E)^exp is folded
+once with its tau count; traces keep `"dedupe": true`, which replay ignores.
 The engine accepts exactly the tree shapes the underlying theorems cover
 (structural gate): abelian leaves of odd order or exactly C(2), semidirect
 nodes with odd kernel of coprime order, direct nodes under the parity rule.
@@ -108,10 +110,9 @@ def _listed(record):
 
 
 class _Engine:
-    def __init__(self, field: QuadField, dedupe=True):
+    def __init__(self, field: QuadField):
         self.field = field
         self.cg = class_group(field.disc)
-        self.dedupe = dedupe
 
     # -- recursion -------------------------------------------------------------
 
@@ -178,7 +179,7 @@ class _Engine:
     def _apply_w_product(self, sub, h, mu, m):
         """Fold the W(k, E_tau)^exp factors over tau in H(l)\\{1} into sub."""
         entries = []
-        for s, exp, count in _node_folds(self.field, h, mu, m, self.dedupe):
+        for s, exp, count in _node_folds(self.field, h, mu, m):
             w_sub = cyclotomic.w_norm_character(self.field, s)
             sub = sub.product(w_sub.power(exp))
             entries.append(_WFold(s, exp, count, w_sub))
@@ -210,32 +211,28 @@ def _tau_exponents(h, m):
     return tuple(taus), tuple(sorted({o for _, o, _ in taus}))
 
 
-def _node_folds(field, h, mu, m, dedupe):
+def _node_folds(field, h, mu, m):
     """The node's W factors over `field` as (s, exponent, tau count): the
     Frobenius target s of each tau (the realized exponents inside
     Gal(k(zeta_o)/k), so s.modulus = o(tau); {1} in a leaf, where mu is
-    None), grouped by (s, exponent) under `dedupe`.  The field enters only
-    through the Galois groups of the moduli o(tau), so the list is cached
-    under (node, dedupe, those groups) and fields with the same Galois
-    groups share it."""
+    None), grouped by (s, exponent).  The field enters only through the
+    Galois groups of the moduli o(tau), so the list is cached under (node,
+    those groups) and fields with the same Galois groups share it."""
     taus, moduli = _tau_exponents(h, m)
     gals = tuple(cyclotomic.galois_group(field, o) for o in moduli)
-    key = (h, mu, m, dedupe, gals)
+    key = (h, mu, m, gals)
     folds = _fold_cache.get(key)
     if folds is not None:
         _fold_cache.move_to_end(key)
         return folds
-    contributions = []
+    contributions = Counter()
     for tau, o, exp in taus:
         if mu is None:
             s = cyclotomic.CycloSubgroup(o, frozenset([1]))
         else:
             s = cyclotomic.g_k_mu_tau(field, mu, tau)
-        contributions.append((s, exp))
-    if dedupe:
-        folds = tuple((s, exp, count) for (s, exp), count in Counter(contributions).items())
-    else:
-        folds = tuple((s, exp, 1) for s, exp in contributions)
+        contributions[s, exp] += 1
+    folds = tuple((s, exp, count) for (s, exp), count in contributions.items())
     _fold_cache[key] = folds
     if len(_fold_cache) > _FOLD_CACHE_SIZE:
         _fold_cache.popitem(last=False)
@@ -271,16 +268,15 @@ def _forms(sub: ClassSubgroup):
     return [list(f.as_tuple()) for f in sub.member_forms()]
 
 
-def rt(field: QuadField, tree: grouptree.GroupTree, dedupe=True) -> RtResult:
+def rt(field: QuadField, tree: grouptree.GroupTree) -> RtResult:
     """R_t(k, G) for an admissible group tree over the given field."""
     check_admissible(tree)
-    engine = _Engine(field, dedupe=dedupe)
-    sub, node_trace = engine.run(tree)
+    sub, node_trace = _Engine(field).run(tree)
     record = {
         "version": _TRACE_VERSION,
         "disc": field.disc,
         "group": tree,
-        "dedupe": dedupe,
+        "dedupe": True,
         "node": node_trace,
     }
     return RtResult(sub, record)

@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import _kernels, cli, grouptree, realizable
+from steinitzcalc import _kernels, cli, cyclotomic, grouptree, realizable
 from steinitzcalc.cli import main
 
 
@@ -159,15 +159,34 @@ def test_rt_missing_file_exit_2(capture, tmp_path):
     assert code == 2
 
 
-def test_rt_no_dedupe_same_answer(capture, tmp_path):
-    import importlib.resources as ir
+def test_rt_no_dedupe_is_gone(capture):
+    # grouping equal W factors cannot change R_t, so there is no flag to
+    # turn it off
+    with pytest.raises(SystemExit) as exc:
+        capture("rt", "--disc", "-84", "--group", str(SPEC_DIR / "D3.json"), "--no-dedupe")
+    assert exc.value.code == 2
 
-    base = ir.files("steinitzcalc") / "examples"
-    _, out1, _ = capture("rt", "--disc", "-84", "--group", str(base / "d3.json"), "--json")
-    _, out2, _ = capture(
-        "rt", "--disc", "-84", "--group", str(base / "d3.json"), "--json", "--no-dedupe"
+
+def test_rt_groups_equal_w_factors(capture, tmp_path):
+    # C9 x C3 has 26 taus and two distinct W factors over Q(sqrt(-5460));
+    # the output and the trace's tau counts are those of the grouped fold
+    trace = tmp_path / "trace.json"
+    code, out, _ = capture(
+        "rt", "--disc", "-5460", "--group", str(SPEC_DIR / "C9xC3.json"), "--json",
+        "--trace", str(trace),
     )
-    assert json.loads(out1)["rt"] == json.loads(out2)["rt"]
+    assert code == 0
+    assert json.loads(out)["rt"] == {
+        "generators": [[6, 6, 229], [7, 0, 195], [10, 10, 139]],
+        "index": 2,
+        "invariant_factors": [2, 2, 2],
+        "order": 8,
+    }
+    data = json.loads(trace.read_text())
+    assert data["dedupe"] is True
+    assert [(w["modulus"], w["exponent"], w["tau_count"]) for w in data["node"]["w_factors"]] == [
+        (3, 9, 8), (9, 3, 18)
+    ]
 
 
 def test_determinism_byte_identical():
@@ -291,9 +310,64 @@ def test_check_classgroup_compares_with_kernel(capture, monkeypatch):
     )
     code, out, _ = capture("check", "--suite", "classgroup", "--disc", "-47")
     assert code == 4
-    assert "PASS  classgroup: composition is associative" in out
+    assert "PASS  classgroup: composition table adds coordinates mod the invariant factors" in out
     assert "PASS  classgroup: identity and inverses" in out
-    assert "FAIL  classgroup: composition matches the form kernel on every pair" in out
+    assert (
+        "FAIL  classgroup: composition matches the form kernel on every class "
+        "times each basis class" in out
+    )
+
+
+def test_check_classgroup_catches_a_corrupt_table(capture):
+    sc.class_group.cache_clear()
+    try:
+        lut = sc.class_group(-47)._dlog[1]
+        lut[0], lut[1] = lut[1], lut[0]
+        code, out, _ = capture("check", "--suite", "classgroup", "--disc", "-47")
+    finally:
+        sc.class_group.cache_clear()
+    assert code == 4
+    assert "FAIL  classgroup: composition table adds coordinates" in out
+
+
+def test_check_finishes_at_the_largest_class_group():
+    # h = 5085: each check is linear in h, none loops over pairs or triples
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinitzcalc.cli", "check", "--disc", "-9951191"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "failures: 0" in proc.stdout
+    assert perf_counter() - start < 60
+
+
+def _abelian_spec(tmp_path, p):
+    path = tmp_path / f"c{p}.json"
+    path.write_text(json.dumps({"kind": "abelian", "invariant_factors": [p]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rt", "--disc", "-23", "--group", "C1999"),
+        ("wgroup", "--disc", "-23", "--modulus", "10007", "--subgroup", "1"),
+    ],
+    ids=["rt-C1999", "wgroup-10007"],
+)
+def test_modulus_above_the_cap_exits_2(capture, tmp_path, argv):
+    argv = [_abelian_spec(tmp_path, 1999) if a == "C1999" else a for a in argv]
+    start = perf_counter()
+    code, out, err = capture(*argv)
+    assert perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"exceeds the cap {cyclotomic.MAX_MODULUS}" in err
+
+
+def test_modulus_below_the_cap_answers(capture, tmp_path):
+    code, out, _ = capture("rt", "--disc", "-23", "--group", _abelian_spec(tmp_path, 997))
+    assert code == 0 and "R_t: order 1 of 3" in out
 
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "rtbench" / "specs"

@@ -241,6 +241,32 @@ def test_action_composition_is_matrix_product():
     )
 
 
+def _semidirect_nodes(tree):
+    if isinstance(tree, gt.Semidirect):
+        yield tree
+        yield from _semidirect_nodes(tree.g)
+    elif isinstance(tree, gt.Direct):
+        yield from _semidirect_nodes(tree.left)
+        yield from _semidirect_nodes(tree.right)
+
+
+def test_corpus_actions_are_homomorphisms():
+    # validate_action trusts its closure to make the table a homomorphism;
+    # this oracle checks mu(a*b) = mu(a) o mu(b) on every pair of the
+    # acting group and every basis element of H, at every semidirect node
+    nodes = [node for _, tree in corpus_trees() for node in _semidirect_nodes(tree)]
+    assert len(nodes) >= 8
+    for node in nodes:
+        h, mu = node.h, node.mu
+        basis = [h.element(tuple(int(i == j) for i in range(h.rank))) for j in range(h.rank)]
+        els = list(gt.elements(node.g))
+        for a in els:
+            for b in els:
+                ab = gt.multiply(node.g, a, b)
+                for x in basis:
+                    assert mu.apply(ab, x) == mu.apply(a, mu.apply(b, x)), (node, a, b)
+
+
 # -- multiplication tables and the verifier (tests/table_oracle.py) -----------------
 
 

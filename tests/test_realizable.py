@@ -120,14 +120,6 @@ def test_dihedral_two_paths_agree(disc, n):
     assert generic == direct
 
 
-def test_dedupe_agrees_with_no_dedupe():
-    for field in (K23, K84):
-        for tree in (gt.leaf(9), gt.leaf(3, 3), gt.dihedral_tree(15), frobenius21()):
-            a = sc.rt(field, tree, dedupe=True).subgroup
-            b = sc.rt(field, tree, dedupe=False).subgroup
-            assert a == b
-
-
 def test_rt_bound_override_stable():
     # the closed-form engine against the enumerating D_9 path, scanned from
     # 4x the largest default initial bound of its moduli 3 and 9
@@ -438,13 +430,13 @@ def test_membership_guards():
 SPECS = Path(__file__).resolve().parent.parent / "rtbench" / "specs"
 
 
-def _rt_bytes(spec, disc, trace, extra=()):
+def _rt_bytes(spec, disc, trace):
     """stdout, exit code and trace bytes of `rt --json` and of `rt --trace`."""
     runs = []
     for argv in (["--json"], ["--trace", str(trace)]):
         out = io.StringIO()
         with redirect_stdout(out):
-            code = cli.main(["rt", "--disc", str(disc), "--group", str(spec), *extra] + argv)
+            code = cli.main(["rt", "--disc", str(disc), "--group", str(spec)] + argv)
         runs.append((out.getvalue(), code))
     return runs, trace.read_bytes()
 
@@ -470,7 +462,7 @@ def test_rt_bytes_independent_of_query_order(disc, tmp_path):
     assert all(code == 0 for runs, _ in forward.values() for _, code in runs)
 
 
-# -- the W-target caches are keyed on the Galois groups and on dedupe ---------------
+# -- the W-target caches are keyed on the Galois groups ------------------------------
 
 
 def _c23_rtimes_c11():
@@ -482,9 +474,8 @@ def _c23_rtimes_c11():
 def test_w_targets_follow_the_galois_groups(tmp_path):
     # each tree is queried over fields whose Gal(k(zeta_o)/k) is all of
     # (Z/o)* and then over the field with |D| = o, where the Galois group
-    # has index 2 and cuts the W target; with and without --no-dedupe in
-    # between.  Every answer must equal one computed with every W-target
-    # cache cleared first.
+    # has index 2 and cuts the W target.  Every answer must equal one
+    # computed with every W-target cache cleared first.
     cases = [
         ("D23", gt.dihedral_tree(23), -23),
         ("C23xC11semi", _c23_rtimes_c11(), -23),
@@ -497,15 +488,14 @@ def test_w_targets_follow_the_galois_groups(tmp_path):
         spec = tmp_path / f"{name}.json"
         spec.write_text(json.dumps(gt.tree_to_spec(tree)))
         for disc in (-84, 0, -47, cut):
-            for extra in ((), ("--no-dedupe",)):
-                queries.append((spec, disc, extra))
+            queries.append((spec, disc))
     rz.clear_caches()
-    warm = [_rt_bytes(spec, disc, trace, extra) for spec, disc, extra in queries]
+    warm = [_rt_bytes(spec, disc, trace) for spec, disc in queries]
     cold = []
-    for spec, disc, extra in queries:
+    for spec, disc in queries:
         rz.clear_caches()
         sc.is_fundamental.cache_clear()
-        cold.append(_rt_bytes(spec, disc, trace, extra))
+        cold.append(_rt_bytes(spec, disc, trace))
     for query, got, want in zip(queries, warm, cold):
         assert got == want, query
     assert all(code == 0 for runs, _ in cold for _, code in runs)
