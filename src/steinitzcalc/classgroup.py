@@ -161,9 +161,12 @@ class ClassGroup:
     structure and matching generators of a subgroup are a function of its
     lattice: `_structure_of` computes them in the same coordinates on first
     use and keeps them in `_structures`, keyed by the lattice, so the group
-    and every subgroup with that lattice share one answer.  `_w_cache` keeps
+    and every subgroup with that lattice share one answer; member sets are
+    kept the same way, in `_members` (`_members_of`).  `_w_cache` keeps
     `cyclotomic.w_norm_character`'s W-groups, each under its Frobenius
-    subgroup S.  Both live and die with the group (`class_group.cache_clear()`).
+    subgroup S, and `_norms` the principal form's unit values mod m, each
+    under m.  All of them live and die with the group
+    (`class_group.cache_clear()`).
     """
 
     def __init__(self, disc: int):
@@ -173,7 +176,9 @@ class ClassGroup:
         self.forms = tuple(map(QuadForm._make, forms))
         self.principal_index = self.index_of(principal_form(disc))
         self._structures = {}  # hnf -> structure, filled by _structure_of
+        self._members = {}  # hnf -> member indices, filled by _members_of
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
+        self._norms = {}  # m -> N_m, filled by cyclotomic.w_norm_character
 
     # -- basic protocol ----------------------------------------------------
 
@@ -314,6 +319,24 @@ class ClassGroup:
             raise InternalInvariantError("abelian structure generators do not span")
         structure = self._structures[hnf] = (tuple(factors), tuple(gens))
         return structure
+
+    def _members_of(self, hnf) -> frozenset:
+        """The member indices of the lattice `hnf`, memoized in `_members`:
+        the lattice points c_1*row_1 + ... + c_k*row_k with 0 <= c_t <
+        d_t / h_t, one per member."""
+        members = self._members.get(hnf)
+        if members is not None:
+            return members
+        codes, lut, moduli, _ = self._dlog
+        points = [0]  # codes of the points so far
+        for t, row in enumerate(hnf):
+            step = codes[self._at(row)]
+            multiples = [0]
+            for _ in range(moduli[t] // row[t] - 1):
+                multiples.append(codes[lut[multiples[-1] + step]])
+            points = [codes[lut[a + b]] for a in points for b in multiples]
+        members = self._members[hnf] = frozenset([lut[a] for a in points])
+        return members
 
     @cached_property
     def _full_hnf(self):
@@ -543,15 +566,23 @@ class ClassSubgroup:
     equality and hashing compare `hnf`, the order is the product of the
     d_t / h_t and the index the product of the h_t.  `power` scales the
     rows, `product` stacks two lattices and `subgroup_generate` stacks its
-    generators' coordinates: k x k integer work, with k <= log2(h).
+    generators' coordinates: k x k integer work, with k <= log2(h).  Two
+    early exits skip that work where the answer is an operand: H^e =
+    H^gcd(e, exponent of Cl) by Bezout, so `power` first reduces e to that
+    gcd and returns the subgroup itself when it is 1; and `product` returns
+    the operand that contains the other, which it tests with `_in_lattice`
+    on the rows of the smaller one.
 
     `ClassSubgroup(group, hnf, generators)` is the only constructor; it
     trusts `hnf` to be a lattice in `group._lattice`'s normal form and
     checks nothing.  `generators` generate the subgroup: the given classes
     for `subgroup_generate`, the classes W-groups pick with `_grow` (the
     members in index order that enlarge the span), otherwise the classes
-    of the lattice's rows.  `members`, the frozenset of member indices, is
-    enumerated from the lattice on first read; only output that lists
+    of the lattice's rows (so an early exit may hand back generators of
+    either kind; only a W-group's own are ever printed).  `members`, the
+    frozenset of member indices, is enumerated from the lattice on first
+    read, once per lattice per class group (`ClassGroup._members_of`), so
+    every subgroup with that lattice shares one set; only output that lists
     members (traces, `check`) reads it."""
 
     def __init__(self, group: ClassGroup, hnf, generators=None):
@@ -582,19 +613,10 @@ class ClassSubgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    @cached_property
+    @property
     def members(self) -> frozenset:
-        """The member indices: the lattice points c_1*row_1 + ... +
-        c_k*row_k with 0 <= c_t < d_t / h_t, one per member."""
-        codes, lut, moduli, _ = self.group._dlog
-        points = [0]  # codes of the points so far
-        for t, row in enumerate(self.hnf):
-            step = codes[self.group._at(row)]
-            multiples = [0]
-            for _ in range(moduli[t] // row[t] - 1):
-                multiples.append(codes[lut[multiples[-1] + step]])
-            points = [codes[lut[a + b]] for a in points for b in multiples]
-        return frozenset([lut[a] for a in points])
+        """The member indices, shared by every subgroup with this lattice."""
+        return self.group._members_of(self.hnf)
 
     def sorted_members(self):
         return sorted(self.members)
@@ -618,11 +640,17 @@ class ClassSubgroup:
         """Image of the subgroup under x -> x**e (a subgroup again)."""
         if e < 0:
             raise InadmissibleError("subgroup power wants e >= 0")
+        e = gcd(e, lcm(*self.group._dlog[2]))  # the exponent of Cl (1 for Q)
+        if e == 1:
+            return self
         scaled = [[e * x for x in row] for row in self.hnf]
         return ClassSubgroup(self.group, self.group._lattice(scaled))
 
     def product(self, other: "ClassSubgroup") -> "ClassSubgroup":
         _check_same_group(self.group, other.group)
+        big, small = (self, other) if self.order >= other.order else (other, self)
+        if all(_in_lattice(big.hnf, row) for row in small.hnf):
+            return big
         return ClassSubgroup(self.group, self.group._lattice(self.hnf + other.hnf))
 
     def __eq__(self, other):

@@ -8,8 +8,10 @@ environment variable STEINITZ_PRIME_CEILING overrides the hard
 prime-enumeration ceiling of the W-group oracle those two run; `rt` computes
 W-groups in closed form and never enumerates primes.  The argument parser
 is built once per process, so repeated `main` calls (a benchmark or a batch
-driver answering many queries in-process) do not rebuild it; likewise `rt`
-parses and validates each distinct group-spec text once (`_tree`).
+driver answering many queries in-process) do not rebuild it, and each query
+is parsed once, by its subcommand's parser (`_parse`): the result, the
+output and the exit code are those of `build_parser().parse_args`.  Likewise
+`rt` parses and validates each distinct group-spec text once (`_tree`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from gettext import gettext
 from math import gcd, isqrt, prod
 
 from . import cyclotomic, grouptree, realizable
@@ -448,12 +451,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parser():
+    """(top-level parser, {subcommand name: its parser}), built once."""
+    parser = build_parser()
+    (commands,) = [
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The Namespace `build_parser().parse_args(argv)` returns, parsed by the
+    subcommand's parser alone.  The top-level pass would only pick the
+    subcommand and hand it the rest, then report what that parser left
+    over; argv that names no subcommand goes to the top-level parser, which
+    ends in help or a usage error."""
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except InadmissibleError as exc:

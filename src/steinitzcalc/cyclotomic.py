@@ -220,14 +220,19 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
     span the kernel.
 
     Once s is checked, the result is kept in the class group's `_w_cache`
-    under s itself; `class_group.cache_clear()` drops it with the group.
+    under s itself, and N_m in its `_norms` under m, so the targets of one
+    modulus share one m^2 evaluation; `class_group.cache_clear()` drops
+    both with the group.
     """
     _check_target(field, s)
     cg = class_group(field.disc)
     if s in cg._w_cache:
         return cg._w_cache[s]
     m = s.modulus
-    norms = set(_unit_values(*principal_form(field.disc), m))
+    norms = cg._norms.get(m)
+    if norms is None:
+        # a tuple: it is only iterated, and is kept for every (D, m)
+        norms = cg._norms[m] = tuple(set(_unit_values(*principal_form(field.disc), m)))
     target = {a * n % m for a in s.members for n in norms}
 
     def value(i):

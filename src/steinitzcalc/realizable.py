@@ -22,7 +22,8 @@ A subgroup times itself is itself, so each distinct W(k, E)^exp is folded
 once with its tau count; traces keep `"dedupe": true`, which replay ignores.
 The engine accepts exactly the tree shapes the underlying theorems cover
 (structural gate): abelian leaves of odd order or exactly C(2), semidirect
-nodes with odd kernel of coprime order, direct nodes under the parity rule.
+nodes with odd kernel of coprime order, direct nodes under the parity rule;
+and no node's tau work |H|*|G| may exceed MAX_TAU_WORK.
 
 Every run records a replayable trace: per node, the formula instance, the
 W targets with their generators, and the resulting subgroup.  The run
@@ -53,11 +54,29 @@ from .steinitz import membership_exponents  # unused: rtbench/tracer.py wraps th
 
 _TRACE_VERSION = 2
 
+# The largest |H|*|G| of a node (|G| = 1 for a leaf): each tau in H costs an
+# order, a Frobenius target and a walk over G.  Cold `rt` at D = -23 (pure
+# Python, 2-vCPU VM) answers C(3)^10 (59049) in 0.4 s and C(7)^5 x| C(3)
+# (50421) in 0.8 s; C(3)^11 took 1.4 s and 74 MB, C(7)^6 x| C(3) 6.2 s, and
+# time and memory grow linearly beyond.
+MAX_TAU_WORK = 60_000
+
+
+def _check_tau_work(h: grouptree.AbelianGroup, g_order: int):
+    work = h.order * g_order
+    if work > MAX_TAU_WORK:
+        raise InadmissibleError(
+            f"node with |H| = {h.order} and |G| = {g_order}: |H|*|G| = {work} "
+            f"exceeds the cap {MAX_TAU_WORK}"
+        )
+
 
 def check_admissible(tree: grouptree.GroupTree):
-    """Reject trees outside the supported family, with a reason."""
+    """Reject trees outside the supported family, with a reason, and nodes
+    whose tau work |H|*|G| is above MAX_TAU_WORK."""
     if isinstance(tree, grouptree.AbelianLeaf):
         if tree.group.order % 2 == 1:
+            _check_tau_work(tree.group, 1)
             return
         if tree.group.invariant_factors == (2,):
             return
@@ -67,6 +86,7 @@ def check_admissible(tree: grouptree.GroupTree):
         )
     if isinstance(tree, grouptree.Semidirect):
         # oddness and coprimality are construction invariants; recurse
+        _check_tau_work(tree.h, grouptree.order(tree.g))
         check_admissible(tree.g)
         return
     if isinstance(tree, grouptree.Direct):
@@ -265,7 +285,7 @@ def _w_entry(s, exp, tau_count, w_sub) -> dict:
 
 
 def _forms(sub: ClassSubgroup):
-    return [list(f.as_tuple()) for f in sub.member_forms()]
+    return [list(f) for f in sub.member_forms()]
 
 
 def rt(field: QuadField, tree: grouptree.GroupTree) -> RtResult:

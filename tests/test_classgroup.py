@@ -6,7 +6,7 @@ form; it shares no code with the Gauss-composition kernel.
 """
 
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -529,6 +529,52 @@ def test_lattice_operations_match_closure(disc):
             assert (st == s) == (t_want <= want)
             assert want | t_want <= st.members
             assert (s == t) == (want == t_want)
+
+
+@pytest.mark.parametrize("disc", LATTICE_DISCS)
+def test_power_and_product_early_exits_match_the_lattice_path(disc):
+    # power reduces e to gcd(e, exponent) and product returns an operand
+    # that contains the other; both must give what stacking the rows and
+    # taking the Hermite normal form gives
+    cg = sc.class_group(disc)
+    h, exponent = cg.order, lcm(*cg._dlog[2])
+    rng = random.Random(7 * disc)
+    subs = [cg.trivial_subgroup(), cg.full_subgroup()]
+    for _ in range(6):
+        gens = [sc.IdealClass(cg, rng.randrange(h)) for _ in range(rng.randint(1, 3))]
+        subs.append(sc.subgroup_generate(cg, gens))
+    subs += [s.power(p) for s in subs[2:] for p in _prime_factors(h)[:2]]
+    exponents = {0, 1, exponent, exponent + 1, rng.randrange(2, 10**6)}
+    exponents.update(_prime_factors(h))
+    for s in subs:
+        for e in exponents:
+            want = cg._lattice([[e * x for x in row] for row in s.hnf])
+            got = s.power(e)
+            assert got.hnf == want, (s, e)
+            if gcd(e, exponent) == 1:
+                assert got is s
+        for t in subs:
+            want = cg._lattice(s.hnf + t.hnf)
+            got = s.product(t)
+            assert got.hnf == want and t.product(s).hnf == want, (s, t)
+            if want in (s.hnf, t.hnf):
+                assert got is (s if want == s.hnf and s.order >= t.order else t)
+
+
+def test_one_lattice_shares_one_member_set(monkeypatch):
+    cg = sc.ClassGroup(-1000019)  # not the cached group: nothing enumerated yet
+    a = sc.subgroup_generate(cg, [sc.IdealClass(cg, 5)])
+    b = sc.ClassSubgroup(cg, a.hnf)
+    c = a.product(b.power(1)).product(cg.trivial_subgroup())
+    assert a is not b and a == b == c
+    steps = []
+    at = sc.ClassGroup._at
+    monkeypatch.setattr(sc.ClassGroup, "_at", lambda self, v: steps.append(1) or at(self, v))
+    members = a.members
+    assert len(steps) == len(a.hnf)  # one enumeration: one step per row
+    assert b.members is members and c.members is members and a.members is members
+    assert len(steps) == len(a.hnf) and list(cg._members) == [a.hnf]
+    assert members == _close(cg.compose_idx, [cg.principal_index], [5])[0]
 
 
 @pytest.mark.parametrize("disc", LATTICE_DISCS)

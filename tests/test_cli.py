@@ -1,10 +1,11 @@
 """CLI tests: outputs, exit codes, determinism, JSON round-trips."""
 
+import argparse
 import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -282,6 +283,73 @@ def test_parser_built_once(capture, monkeypatch):
     assert len(built) == 1
 
 
+def _examples(name):
+    import importlib.resources as ir
+
+    return str(ir.files("steinitzcalc") / "examples" / name)
+
+
+ARGV_TABLE = {
+    "classgroup": ["classgroup", "--disc", "-23"],
+    "classgroup-json-eq": ["classgroup", "--disc=-84", "--json"],
+    "wgroup": ["wgroup", "--disc", "-84", "--modulus", "3", "--subgroup", "1", "--json"],
+    "wgroup-bound": ["wgroup", "--subgroup", "1,2", "--modulus", "3", "--disc", "-23",
+                     "--bound", "200"],
+    "steinitz": ["steinitz", "--disc", "-23", "--ram", "2:3", "--order", "3"],
+    "exponents": ["exponents", "--l", "3", "--otau", "3", "--n", "9", "--json"],
+    "rt": ["rt", "--disc", "-84", "--group", _examples("d3.json")],
+    "rt-abbrev": ["rt", "--gr", _examples("c3.json"), "--js", "--disc", "-84"],
+    "rt-trace": ["rt", "--disc", "-23", "--group", _examples("c3.json"), "--trace", "t.json"],
+    "check": ["check", "--suite", "exponents"],
+    "check-default": ["check"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "rt-help": ["rt", "-h"],
+    "rt-help-late": ["rt", "--disc", "-84", "--help"],
+    "empty": [],
+    "unknown-command": ["frobnicate", "--disc", "-23"],
+    "option-first": ["--disc", "-23", "rt"],
+    "missing-disc": ["rt", "--group", _examples("d3.json")],
+    "missing-value": ["rt", "--disc"],
+    "bad-integer": ["classgroup", "--disc", "minus23"],
+    "bad-choice": ["check", "--suite", "everything"],
+    "no-dedupe": ["rt", "--disc", "-84", "--group", _examples("d3.json"), "--no-dedupe"],
+    "extra-positional": ["classgroup", "--disc", "-23", "extra", "-x"],
+    "double-dash": ["rt", "--", "--disc", "-84"],
+}
+
+
+def _parsed(parse, argv):
+    """(what parse(argv) returns, a Namespace as its items, or the exit
+    code it raises; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    if isinstance(result, argparse.Namespace):
+        result = list(vars(result).items())
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE.values(), ids=ARGV_TABLE.keys())
+def test_parse_once_matches_the_two_level_parse(argv, monkeypatch, tmp_path):
+    # the subcommand's parser alone gives the Namespace, output and exit
+    # code of the top-level parser that hands argv on to it
+    reference = cli.build_parser()
+    want = _parsed(reference.parse_args, list(argv))
+    assert _parsed(cli._parse, list(argv)) == want
+    if argv:
+        monkeypatch.setattr(sys, "argv", ["steinitzcalc", *argv])
+        assert _parsed(cli._parse, None) == want
+    # and main prints and returns the same with either parser
+    monkeypatch.chdir(tmp_path)
+    ours = _parsed(main, list(argv))
+    monkeypatch.setattr(cli, "_parse", lambda a: reference.parse_args(a))
+    assert _parsed(main, list(argv)) == ours
+
+
 def test_check_suites(capture):
     code, out, _ = capture("check", "--suite", "all", "--disc", "-23")
     assert code == 0
@@ -368,6 +436,45 @@ def test_modulus_above_the_cap_exits_2(capture, tmp_path, argv):
 def test_modulus_below_the_cap_answers(capture, tmp_path):
     code, out, _ = capture("rt", "--disc", "-23", "--group", _abelian_spec(tmp_path, 997))
     assert code == 0 and "R_t: order 1 of 3" in out
+
+
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _abelian(*factors):
+    return {"kind": "abelian", "invariant_factors": list(factors)}
+
+
+def _c7_power_by_c3(r):
+    """C(7)^r x| C(3), the generator of C(3) acting as x -> x^2."""
+    matrix = [[2 * int(i == j) for j in range(r)] for i in range(r)]
+    return {"kind": "semidirect", "h": _abelian(*[7] * r), "g": _abelian(3),
+            "action": {"on_generators": [{"g_element": [1], "matrix": matrix}]}}
+
+
+@pytest.mark.parametrize(
+    "spec, work",
+    [(_abelian(*[3] * 11), 3**11), (_c7_power_by_c3(6), 7**6 * 3),
+     ({"kind": "direct", "left": _abelian(3), "right": _abelian(*[5] * 7)}, 5**7)],
+    ids=["leaf-C3^11", "semidirect-C7^6-by-C3", "direct-C3-C5^7"],
+)
+def test_tau_work_above_the_cap_exits_2(capture, tmp_path, spec, work):
+    start = perf_counter()
+    code, out, err = capture("rt", "--disc", "-23", "--group", _write_spec(tmp_path, spec))
+    assert perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"|H|*|G| = {work} exceeds the cap {realizable.MAX_TAU_WORK}" in err
+
+
+def test_tau_work_below_the_cap_answers(capture, tmp_path):
+    assert 3**10 <= realizable.MAX_TAU_WORK < 3**11
+    spec = _write_spec(tmp_path, _abelian(*[3] * 10))
+    code, out, _ = capture("rt", "--disc", "-23", "--group", spec)
+    assert code == 0
+    assert out == "R_t: order 1 of 3 (index 3), invariant factors trivial, generators: -\n"
 
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "rtbench" / "specs"

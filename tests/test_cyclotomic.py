@@ -448,6 +448,35 @@ def test_w_norm_character_cached_on_class_group():
     assert again.members == first.members and again.generators == first.generators
 
 
+@pytest.mark.parametrize("disc, m", [(-5460, 12), (-1155, 7), (-84, 21)])
+def test_norm_residues_evaluated_once_per_modulus(monkeypatch, disc, m):
+    # every target of one modulus shares the field's N_m, and each W is the
+    # one a cold evaluation of N_m gives
+    field = sc.QuadField(disc)
+    principal = tuple(sc.principal_form(disc))
+    units = sorted(galois_group(field, m).members)
+    targets = {CycloSubgroup(m, frozenset(pow(a, j, m) for j in range(m))) for a in units}
+    targets.add(galois_group(field, m))
+    assert len(targets) > 2
+    cold = {}
+    for s in targets:
+        sc.class_group.cache_clear()
+        w = w_norm_character(field, s)
+        cold[s] = (w.hnf, w.generators)
+    sc.class_group.cache_clear()
+    calls = []
+    values = cyclotomic._unit_values
+    monkeypatch.setattr(
+        cyclotomic, "_unit_values",
+        lambda a, b, c, n: calls.append((a, b, c, n)) or values(a, b, c, n),
+    )
+    for s in targets:
+        w = w_norm_character(field, s)
+        assert (w.hnf, w.generators) == cold[s]
+    assert calls.count(principal + (m,)) == 1
+    assert list(sc.class_group(disc)._norms) == [m]
+
+
 @pytest.mark.parametrize("disc, m", [(-5460, 12), (-420, 3), (-84, 7)])
 def test_cached_w_enumerates_its_members_on_first_read(disc, m):
     # the lattice determines the subgroup, so the cached W-group keeps no
@@ -456,10 +485,11 @@ def test_cached_w_enumerates_its_members_on_first_read(disc, m):
     sc.class_group.cache_clear()
     field, s = sc.QuadField(disc), CycloSubgroup(m, frozenset([1]))
     w = w_norm_character(field, s)
-    assert "members" not in vars(w)
+    assert w.hnf not in w.group._members
     want = _w_members_by_norm(field, m, s)
     assert 1 < len(want) < w.group.order
     assert w.members == want
+    assert w.group._members[w.hnf] is w.members
     assert w.group._w_cache[s] is w
 
 
