@@ -11,6 +11,7 @@ kernels.
 from __future__ import annotations
 
 import enum
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -22,9 +23,9 @@ from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
 from .grouptree import _is_prime, _l_part, _prime_factors
 
-# Class groups are held in full: the sorted reduced forms (lookups bisect
-# them), a code per class whose digits are its coordinates, and a table of
-# fewer than 2^k * h entries.  Beyond this cap callers get a loud error; it
+# Class groups are held in full: a packed sorted key per reduced form (lookups
+# bisect them), a code per class whose digits are its coordinates, and a table
+# of fewer than 2^k * h entries.  Beyond this cap callers get a loud error; it
 # stays until the walk's time and memory above it have been measured.
 MAX_ABS_DISC = 10_000_000
 
@@ -150,19 +151,24 @@ def splitting(p: int, field: QuadField) -> Splitting:
 class ClassGroup:
     """The ideal class group of a QuadField, every class held in full.
 
-    Elements are indices into the sorted reduced forms (`index_of` bisects
-    them).  Forms and discrete-log table come from one walk over the prime
-    forms with p <= sqrt(|D|/3), which generate the group (`_dlog_table`):
-    O(h) kernel compositions give each index a code, whose digits
-    (`_coords`) are its coordinates in Z/d_1 + ... + Z/d_k, so composition,
-    powers and inverses are vector arithmetic mod d_i, orders are lcms, and
-    each class keeps only its form and code.  A subgroup is the lattice of
-    its coordinates (`_lattice`, see ClassSubgroup).  The invariant-factor
-    structure and matching generators of a subgroup are a function of its
-    lattice: `_structure_of` computes them in the same coordinates on first
-    use and keeps them in `_structures`, keyed by the lattice, so the group
-    and every subgroup with that lattice share one answer; member sets are
-    kept the same way, in `_members` (`_members_of`).  `_w_cache` keeps
+    Elements are indices into the sorted reduced forms.  Each class keeps
+    only its form's key a*span + b (`_keys`, packed 8 bytes each; c follows
+    from a, b and D) and its code.  `form(i)` decodes one class, `index_of`
+    bisects the keys, and `forms`, the tuple of every form, is decoded in
+    one pass on first read, which only listings of many classes (traces,
+    `check`) do.  Keys and discrete-log table come from one walk over the
+    prime forms with p <= sqrt(|D|/3), which generate the group
+    (`_dlog_table`): O(h) kernel compositions give each index a code, whose
+    digits (`_coords`) are its coordinates in Z/d_1 + ... + Z/d_k, so
+    composition, powers and inverses are vector arithmetic mod d_i, and
+    orders are lcms.  A subgroup is the lattice of its coordinates
+    (`_lattice`, see ClassSubgroup).  The invariant-factor structure and
+    matching generators of a subgroup are a function of its lattice:
+    `_structure_of` computes them in the same coordinates on first use and
+    keeps them in `_structures`, keyed by the lattice, so the group and
+    every subgroup with that lattice share one answer; member sets are kept
+    the same way, in `_members` (`_members_of`), and so are powers, in
+    `_powers` (`ClassSubgroup.power`).  `_w_cache` keeps
     `cyclotomic.w_norm_character`'s W-groups, each under its Frobenius
     subgroup S, and `_norms` the principal form's unit values mod m, each
     under m.  All of them live and die with the group
@@ -172,11 +178,12 @@ class ClassGroup:
     def __init__(self, disc: int):
         QuadField(disc)  # validation
         self.disc = disc
-        forms, self._dlog = _dlog_table(disc)
-        self.forms = tuple(map(QuadForm._make, forms))
+        self._half = isqrt(-disc // 3)  # |b| <= a <= _half on every reduced form
+        self._keys, self._dlog = _dlog_table(disc)
         self.principal_index = self.index_of(principal_form(disc))
         self._structures = {}  # hnf -> structure, filled by _structure_of
         self._members = {}  # hnf -> member indices, filled by _members_of
+        self._powers = {}  # (hnf, gcd(e, exponent)) -> hnf of H^e, by ClassSubgroup.power
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
         self._norms = {}  # m -> N_m, filled by cyclotomic.w_norm_character
 
@@ -184,7 +191,7 @@ class ClassGroup:
 
     @property
     def order(self) -> int:
-        return len(self.forms)
+        return len(self._keys)
 
     def __eq__(self, other):
         return isinstance(other, ClassGroup) and other.disc == self.disc
@@ -197,9 +204,25 @@ class ClassGroup:
 
     # -- index arithmetic --------------------------------------------------
 
+    def form(self, i: int) -> QuadForm:
+        """The reduced form of class i, decoded from its key."""
+        half = self._half
+        a, b = divmod(self._keys[i] + half, 2 * half + 1)
+        b -= half
+        return QuadForm(a, b, (b * b - self.disc) // (4 * a))
+
+    @cached_property
+    def forms(self) -> tuple:
+        """The reduced form of every class, in index order."""
+        return tuple(map(self.form, range(self.order)))
+
     def index_of(self, form) -> int:
-        i = bisect_left(self.forms, form)  # form: a QuadForm or (a, b, c)
-        if i == len(self.forms) or self.forms[i] != form:
+        a, b, c = form  # a QuadForm or (a, b, c)
+        half, keys = self._half, self._keys
+        key = a * (2 * half + 1) + b
+        i = bisect_left(keys, key)
+        # with |b| <= half the key names (a, b), and (a, b) and D fix c
+        if i == len(keys) or keys[i] != key or abs(b) > half or b * b - 4 * a * c != self.disc:
             raise InadmissibleError(
                 f"{QuadForm(*form)} is not a reduced form of disc {self.disc}"
             )
@@ -375,12 +398,20 @@ class ClassGroup:
 
     @property
     def generator_forms(self):
-        return tuple(self.forms[i] for i in self.structure()[1])
+        return tuple(map(self.form, self.structure()[1]))
 
 
 def _dlog_table(disc: int):
-    """(forms, (codes, lut, moduli, weights)): the sorted reduced forms of
-    discriminant disc and their discrete-log table, from one walk.
+    """(keys, (codes, lut, moduli, weights)): the sorted keys of the reduced
+    forms of discriminant disc and their discrete-log table, from one walk.
+
+    The key of a reduced form (a, b, c) is a * span + b, with span = 2 *
+    isqrt(|D| // 3) + 1: every reduced form has |b| <= a <= isqrt(|D| // 3),
+    so b + span // 2 is a digit in [0, span), the keys order the forms as
+    their (a, b, c) tuples do (c is fixed by a, b and D), and index i is the
+    form with the i-th smallest key.  They are packed into one read-only
+    buffer of 8-byte integers (`memoryview.cast("q")`), which `bisect`
+    reads like a list.
 
     Index i has coordinates c_t in Z/moduli[0] + ... + Z/moduli[-1], kept
     only as the digits of codes[i] = sum(c_t * weights[t]) in the mixed
@@ -424,7 +455,8 @@ def _dlog_table(disc: int):
     principal = tuple(principal_form(disc))
     walk, position = [principal], {principal: 0}
     cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
-    for p in _walk_primes(isqrt(-disc // 3)):
+    half = isqrt(-disc // 3)
+    for p in _walk_primes(half):
         f = _kernels.prime_form(disc, p)
         if f is None:
             continue
@@ -449,6 +481,10 @@ def _dlog_table(disc: int):
         cosets.append((m, n))
 
     h, k = len(walk), len(relations)
+    distinct = len(position) == h
+    span = 2 * half + 1
+    keys = [a * span + b for a, b, _ in walk]
+    del walk, position  # the keys stand for the forms from here on
     d, v = _diagonalize([r + [0] * (k - len(r)) for r in relations])
     keep = [t for t in range(k) if d[t] > 1]
     moduli = tuple(d[t] for t in keep)
@@ -460,11 +496,12 @@ def _dlog_table(disc: int):
         for (_, r), row in zip(cosets, v):  # walk order: coset by coset
             col = [(c + n * row[t]) % dt for n in range(r) for c in col]
         codes = [code + c * w for code, c in zip(codes, col)]
-    if len(position) != h or len(set(codes)) != h or prod(moduli) != h:
+    if not distinct or len(set(codes)) != h or prod(moduli) != h:
         raise InternalInvariantError(f"discrete-log table of disc {disc} is not a bijection")
 
-    ranked = sorted(range(h), key=walk.__getitem__)  # walk positions, by form
+    ranked = sorted(range(h), key=keys.__getitem__)  # walk positions, by form
     codes = [codes[p] for p in ranked]
+    keys.sort()
     lut = [0] * prod(2 * m - 1 for m in moduli)
     for i, code in enumerate(codes):
         lut[code] = i
@@ -474,7 +511,7 @@ def _dlog_table(disc: int):
             prefixes = [p + s * wu for p in prefixes for s in range(mu)]
         for p in prefixes:
             lut[p + m * w:p + (2 * m - 1) * w] = lut[p:p + (m - 1) * w]
-    return [walk[p] for p in ranked], (codes, lut, moduli, weights)
+    return memoryview(struct.pack(f"{h}q", *keys)).cast("q"), (codes, lut, moduli, weights)
 
 
 @lru_cache(maxsize=16)
@@ -531,7 +568,7 @@ class IdealClass:
 
     @property
     def form(self) -> QuadForm:
-        return self.group.forms[self.index]
+        return self.group.form(self.index)
 
     @property
     def is_principal(self) -> bool:
@@ -571,7 +608,8 @@ class ClassSubgroup:
     H^gcd(e, exponent of Cl) by Bezout, so `power` first reduces e to that
     gcd and returns the subgroup itself when it is 1; and `product` returns
     the operand that contains the other, which it tests with `_in_lattice`
-    on the rows of the smaller one.
+    on the rows of the smaller one.  Each other power is computed once per
+    (lattice, gcd) per class group and kept in `ClassGroup._powers`.
 
     `ClassSubgroup(group, hnf, generators)` is the only constructor; it
     trusts `hnf` to be a lattice in `group._lattice`'s normal form and
@@ -632,7 +670,7 @@ class ClassSubgroup:
         return self.structure()[0]
 
     def generator_forms(self):
-        return tuple(self.group.forms[i] for i in self.structure()[1])
+        return tuple(map(self.group.form, self.structure()[1]))
 
     # -- algebra -------------------------------------------------------------
 
@@ -643,8 +681,12 @@ class ClassSubgroup:
         e = gcd(e, lcm(*self.group._dlog[2]))  # the exponent of Cl (1 for Q)
         if e == 1:
             return self
-        scaled = [[e * x for x in row] for row in self.hnf]
-        return ClassSubgroup(self.group, self.group._lattice(scaled))
+        powers = self.group._powers
+        hnf = powers.get((self.hnf, e))
+        if hnf is None:
+            scaled = [[e * x for x in row] for row in self.hnf]
+            hnf = powers[self.hnf, e] = self.group._lattice(scaled)
+        return ClassSubgroup(self.group, hnf)
 
     def product(self, other: "ClassSubgroup") -> "ClassSubgroup":
         _check_same_group(self.group, other.group)

@@ -25,7 +25,7 @@ from math import gcd, isqrt, prod
 
 from . import cyclotomic, grouptree, realizable
 from . import steinitz as st
-from ._kernels import BACKEND
+from ._kernels import BACKEND, reduce_form
 from .classgroup import QuadField, _in_lattice, compose
 from .errors import (
     EnumerationCeilingError,
@@ -76,7 +76,7 @@ def _cmd_wgroup(args) -> int:
     wg = cyclotomic.w_group(field, s, bound=args.bound)
     sub = wg.subgroup
     factors, gen_indices = sub.structure()
-    gens = [sub.group.forms[i] for i in gen_indices]
+    gens = [sub.group.form(i) for i in gen_indices]
     payload = {
         "disc": field.disc,
         "modulus": args.modulus,
@@ -180,7 +180,7 @@ def _cmd_rt(args) -> int:
     sub = result.subgroup
     cg = sub.group
     factors, gen_indices = sub.structure()
-    gens = [cg.forms[i] for i in gen_indices]
+    gens = [cg.form(i) for i in gen_indices]
     trace_file = None
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -244,6 +244,17 @@ class _Check:
         if detail:
             line += f"  [{detail}]"
         print(line)
+        return passed
+
+
+def _names_its_form(cg, i: int) -> bool:
+    """True when class i's key decodes to a reduced primitive form of
+    discriminant D that `index_of` finds at i (a key <= isqrt(|D| // 3)
+    would decode to a <= 0)."""
+    if cg._keys[i] <= cg._half:
+        return False
+    f = cg.form(i)
+    return f.disc == cg.disc and f.is_primitive and reduce_form(*f) == f and cg.index_of(f) == i
 
 
 def _suite_classgroup(chk: _Check, field: QuadField):
@@ -253,6 +264,15 @@ def _suite_classgroup(chk: _Check, field: QuadField):
         f"classgroup: order matches divisor-path oracle (disc {field.disc})",
         field.is_rationals or n == _count_reduced_forms_divisor_oracle(field.disc),
         f"h = {n}",
+    )
+    keys = cg._keys
+    keys_ok = chk.ok(
+        "classgroup: keys increase and each decodes to a reduced form that index_of finds",
+        field.is_rationals
+        or (
+            all(x < y for x, y in zip(keys, keys[1:]))
+            and all(_names_its_form(cg, i) for i in range(n))
+        ),
     )
     # lut[p] has the code of p with digits taken mod d_t: codes is then onto
     # Z/d_1 x ... x Z/d_k and compose_idx adds there, so it is a group law
@@ -269,10 +289,13 @@ def _suite_classgroup(chk: _Check, field: QuadField):
     chk.ok(
         "classgroup: composition matches the form kernel on every class times each basis class",
         field.is_rationals
-        or all(
-            cg.compose_idx(i, b) == cg.index_of(compose(cg.forms[i], cg.forms[b]))
-            for i in range(n)
-            for b in basis
+        or (
+            keys_ok  # forms are read and looked up through the keys
+            and all(
+                cg.compose_idx(i, b) == cg.index_of(compose(cg.forms[i], cg.forms[b]))
+                for i in range(n)
+                for b in basis
+            )
         ),
     )
     chk.ok(

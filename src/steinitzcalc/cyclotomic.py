@@ -237,7 +237,7 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
 
     def value(i):
         # a primitive form always takes a unit value mod m
-        return next(_unit_values(*cg.forms[i], m))
+        return next(_unit_values(*cg.form(i), m))
 
     moduli = cg._dlog[2]
     k = len(moduli)

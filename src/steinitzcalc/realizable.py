@@ -280,7 +280,7 @@ def _w_entry(s, exp, tau_count, w_sub) -> dict:
         "exponent": exp,
         "tau_count": tau_count,
         "order_tau": s.modulus,
-        "w_generators": [list(w_sub.group.forms[i].as_tuple()) for i in w_sub.generators],
+        "w_generators": [list(w_sub.group.form(i)) for i in w_sub.generators],
     }
 
 

@@ -561,6 +561,45 @@ def test_power_and_product_early_exits_match_the_lattice_path(disc):
                 assert got is (s if want == s.hnf and s.order >= t.order else t)
 
 
+@pytest.mark.parametrize("disc", LATTICE_DISCS)
+def test_power_is_computed_once_per_lattice_and_gcd(disc, monkeypatch):
+    # seeded: every power equals the lattice of the scaled rows, and each
+    # (lattice, gcd(e, exponent)) runs _hnf once per class group
+    cg = sc.ClassGroup(disc)  # not the cached group: no power kept yet
+    h, exponent = cg.order, lcm(*cg._dlog[2])
+    rng = random.Random(11 * disc)
+    subs = [cg.trivial_subgroup(), cg.full_subgroup()]
+    for _ in range(5):
+        gens = [sc.IdealClass(cg, rng.randrange(h)) for _ in range(rng.randint(1, 3))]
+        subs.append(sc.subgroup_generate(cg, gens))
+    exponents = [0, exponent, rng.randrange(2, 10**6)] + list(_prime_factors(h))
+    exponents += [e + exponent * rng.randrange(1, 5) for e in exponents]
+    calls = []
+    hnf = sc.classgroup._hnf
+    monkeypatch.setattr(sc.classgroup, "_hnf", lambda *a: calls.append(a) or hnf(*a))
+    seen = set()
+    for s in subs:
+        for e in exponents:
+            g = gcd(e, exponent)
+            before = len(calls)
+            got = s.power(e)
+            want = cg._lattice([[e * x for x in row] for row in s.hnf])
+            assert got.hnf == want, (s, e)
+            if g == 1:
+                assert got is s and len(calls) == before + 1  # the check's own _hnf
+            else:
+                repeat = (s.hnf, g) in seen
+                assert len(calls) == before + (1 if repeat else 2), (s, e)
+                assert cg._powers[s.hnf, g] == want
+                seen.add((s.hnf, g))
+    assert set(cg._powers) == seen
+    # another subgroup object with a kept lattice shares the kept power
+    for lattice, g in seen:
+        before = len(calls)
+        got = sc.ClassSubgroup(cg, lattice).power(g + exponent)
+        assert got.hnf == cg._powers[lattice, g] and len(calls) == before
+
+
 def test_one_lattice_shares_one_member_set(monkeypatch):
     cg = sc.ClassGroup(-1000019)  # not the cached group: nothing enumerated yet
     a = sc.subgroup_generate(cg, [sc.IdealClass(cg, 5)])

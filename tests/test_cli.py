@@ -1,6 +1,7 @@
 """CLI tests: outputs, exit codes, determinism, JSON round-trips."""
 
 import argparse
+import functools
 import io
 import json
 import subprocess
@@ -398,6 +399,30 @@ def test_check_classgroup_catches_a_corrupt_table(capture):
     assert "FAIL  classgroup: composition table adds coordinates" in out
 
 
+@pytest.mark.parametrize("corrupt", ["swap", "off-by-one", "zero"])
+def test_check_classgroup_catches_corrupt_keys(capture, corrupt):
+    # two keys out of order; a last key that decodes to (a, b + 1), whose c
+    # is no integer; a key that decodes to a = 0
+    sc.class_group.cache_clear()
+    try:
+        cg = sc.class_group(-47)
+        keys = list(cg._keys)
+        if corrupt == "swap":
+            keys[1], keys[2] = keys[2], keys[1]
+        elif corrupt == "off-by-one":
+            keys[-1] += 1
+        else:
+            keys[0] = 0
+        cg._keys = keys
+        code, out, _ = capture("check", "--suite", "classgroup", "--disc", "-47")
+    finally:
+        sc.class_group.cache_clear()
+    assert code == 4
+    assert "FAIL  classgroup: keys increase and each decodes to a reduced form" in out
+    assert "FAIL  classgroup: composition matches the form kernel" in out
+    assert "PASS  classgroup: composition table adds coordinates" in out
+
+
 def test_check_finishes_at_the_largest_class_group():
     # h = 5085: each check is linear in h, none loops over pairs or triples
     start = perf_counter()
@@ -493,6 +518,29 @@ def test_untraced_rt_lists_no_member_forms(monkeypatch):
     monkeypatch.setattr(realizable, "_forms", lambda sub: calls.append(sub) or forms(sub))
     _rt_json_over_specs(-1000019)
     assert calls == []
+
+
+@pytest.mark.parametrize("disc", [-84, -1000019])
+def test_untraced_rt_decodes_no_form_list(disc):
+    sc.class_group.cache_clear()
+    _rt_json_over_specs(disc)
+    assert "forms" not in vars(sc.class_group(disc))
+
+
+def test_traced_rt_decodes_the_form_list_once(monkeypatch, tmp_path):
+    built = []
+    forms = sc.ClassGroup.forms
+    counted = functools.cached_property(lambda cg: built.append(cg.disc) or forms.func(cg))
+    counted.__set_name__(sc.ClassGroup, "forms")
+    monkeypatch.setattr(sc.ClassGroup, "forms", counted)
+    sc.class_group.cache_clear()
+    trace = tmp_path / "trace.json"
+    for spec in sorted(SPEC_DIR.glob("*.json")):
+        with redirect_stdout(io.StringIO()):
+            argv = ["rt", "--disc", "-1000019", "--group", str(spec), "--trace", str(trace)]
+            assert main(argv) == 0
+        assert realizable.rt_trace_replay(json.loads(trace.read_text())) is not None
+    assert built == [-1000019]
 
 
 def test_rt_does_not_enumerate_reduced_forms(monkeypatch):

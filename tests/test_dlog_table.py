@@ -11,14 +11,22 @@ the production table must give the same group law, inverses and orders.
 theory of its 2-rank.
 """
 
+import gc
 import random
+import tracemalloc
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
 from steinitzcalc import _kernels
-from steinitzcalc.classgroup import ClassGroup, _diagonalize, is_fundamental
+from steinitzcalc.classgroup import (
+    MAX_ABS_DISC,
+    ClassGroup,
+    QuadForm,
+    _diagonalize,
+    is_fundamental,
+)
 from steinitzcalc.errors import InadmissibleError, InternalInvariantError
 from steinitzcalc.grouptree import _prime_factors
 
@@ -133,6 +141,13 @@ def test_table_matches_oracle(disc):
         assert cg._at(cg._coords(i)) == i
 
 
+def _rejected(cg, form):
+    message = f"{QuadForm(*form)} is not a reduced form of disc {cg.disc}"
+    with pytest.raises(InadmissibleError) as exc:
+        cg.index_of(form)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("disc", ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS)
 def test_index_of_bisects_the_forms(disc):
     # each fact is kept once: no form -> index dict, and no coordinate list
@@ -140,20 +155,50 @@ def test_index_of_bisects_the_forms(disc):
     cg = ClassGroup(disc)
     assert not hasattr(cg, "_index") and len(cg._dlog) == 4
     for i, f in enumerate(cg.forms):
-        assert cg.index_of(f) == cg.index_of(tuple(f)) == i
-        # (a, b) fixes c, so (a, b, c + 1) lies between f and the next form,
-        # or past the last one
-        with pytest.raises(InadmissibleError, match="not a reduced form"):
-            cg.index_of((f.a, f.b, f.c + 1))
-    for other in {-23, -20, -1155} - {disc}:
-        for f in ClassGroup(other).forms:
-            with pytest.raises(InadmissibleError, match="not a reduced form"):
-                cg.index_of(f)
+        a, b, c = f
+        assert cg.index_of(f) == cg.index_of((a, b, c)) == cg.index_of([a, b, c]) == i
+        # (a, b) fixes c, so (a, b, c +- 1) is no form of discriminant D
+        _rejected(cg, (a, b, c - 1))
+        _rejected(cg, (a, b, c + 1))
+        # equivalent forms of discriminant D that are not reduced: b moved
+        # by 2a, a and c swapped when a < c, and -b where reduction wants
+        # b >= 0
+        _rejected(cg, (a, b + 2 * a, a + b + c))
+        _rejected(cg, (a, b - 2 * a, a - b + c))
+        if a < c:
+            _rejected(cg, (c, -b, a))
+        if b > 0 and (b == a or a == c):
+            _rejected(cg, (a, -b, c))
+    for other in {-23, -20, -1155, -9951191} - {disc}:
+        for f in ClassGroup(other).forms[:200]:
+            _rejected(cg, f)
 
 
-@pytest.mark.parametrize("disc", ORACLE_DISCS)
+def _random_discs(n, seed):
+    """n seeded fundamental discriminants up to the cap, half of them drawn
+    uniformly in |D| and half log-uniformly."""
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        bound = MAX_ABS_DISC if len(out) % 2 else int(10 ** rng.uniform(1, 7))
+        d = -rng.randrange(3, bound + 1)
+        if is_fundamental(d) and d not in out:
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("disc", ORACLE_DISCS + (0,) + tuple(_random_discs(12, 23)))
 def test_walk_finds_every_reduced_form(disc):
-    assert list(ClassGroup(disc).forms) == _kernels.reduced_forms(disc)
+    # one key a*span + b per class: the keys sort as the forms do, and the
+    # forms are decoded from them, one at a time or all at once on first read
+    want = [(1, 0, 0)] if disc == 0 else _kernels.reduced_forms(disc)
+    span = 2 * isqrt(-disc // 3) + 1
+    shuffled = random.Random(disc).sample(want, len(want))
+    assert sorted(shuffled, key=lambda f: f[0] * span + f[1]) == sorted(shuffled) == want
+    cg = ClassGroup(disc)
+    assert list(cg._keys) == [a * span + b for a, b, _ in want]
+    assert "forms" not in vars(cg)
+    assert [cg.form(i) for i in range(cg.order)] == list(cg.forms) == want
+    assert all(type(f) is QuadForm for f in cg.forms)
 
 
 def test_walk_finds_every_reduced_form_below_20000():
@@ -185,3 +230,41 @@ def test_walk_rejects_a_class_walked_twice(monkeypatch):
     monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: forms[3:])
     with pytest.raises(InternalInvariantError, match="not a bijection"):
         ClassGroup(-84)
+
+
+# -- one packed key per class ---------------------------------------------------------
+
+
+def test_index_of_never_takes_a_key_of_another_class():
+    # (a - j, b + j * span) has the key of the class (a, b); for even j its
+    # b has D's parity, and where 4(a - j) divides b^2 - D it is a form of
+    # discriminant D, which only the check |b| <= isqrt(|D|/3) rejects
+    hits = 0
+    for disc in ACCEPT_DISCS + MIXED_DISCS + LADDER_DISCS:
+        cg = ClassGroup(disc)
+        span = 2 * cg._half + 1
+        for a, b, _ in cg.forms:
+            for j in (2, 4, 6):
+                x, y = a - j, b + j * span
+                if x >= 1 and (y * y - disc) % (4 * x) == 0:
+                    assert x * span + y == a * span + b
+                    _rejected(cg, (x, y, (y * y - disc) // (4 * x)))
+                    hits += 1
+    assert hits > 100
+
+
+def test_class_keeps_a_few_dozen_bytes():
+    # retained bytes per class of a cold build at h = 5085: 92 B with a
+    # packed key per class; a QuadForm per class retained 248 B
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cg = ClassGroup(-9951191)
+        cg.structure()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cg.order == 5085 and "forms" not in vars(cg)
+    assert retained / cg.order < 110, retained / cg.order
