@@ -170,8 +170,7 @@ class ClassGroup:
     the same way, in `_members` (`_members_of`), and so are powers, in
     `_powers` (`ClassSubgroup.power`).  `_w_cache` keeps
     `cyclotomic.w_norm_character`'s W-groups, each under its Frobenius
-    subgroup S, and `_norms` the principal form's unit values mod m, each
-    under m.  All of them live and die with the group
+    subgroup S.  All of them live and die with the group
     (`class_group.cache_clear()`).
     """
 
@@ -185,7 +184,6 @@ class ClassGroup:
         self._members = {}  # hnf -> member indices, filled by _members_of
         self._powers = {}  # (hnf, gcd(e, exponent)) -> hnf of H^e, by ClassSubgroup.power
         self._w_cache = {}  # filled by cyclotomic.w_norm_character
-        self._norms = {}  # m -> N_m, filled by cyclotomic.w_norm_character
 
     # -- basic protocol ----------------------------------------------------
 

@@ -330,6 +330,14 @@ def _suite_wgroup(chk: _Check, field: QuadField):
         "wgroup: stable under a doubled initial bound",
         again.subgroup == w_small.subgroup,
     )
+    same = all(
+        cyclotomic.w_norm_character(field, s) == cyclotomic.w_group(field, s).subgroup
+        for m in (3, 4, 5, 8)
+        for s in (cyclotomic.CycloSubgroup(m, frozenset([1])), cyclotomic.galois_group(field, m))
+    )
+    chk.ok(
+        "wgroup: w_norm_character equals the enumeration for S = {1} and Gal, m = 3, 4, 5, 8", same
+    )
 
 
 def _suite_exponents(chk: _Check):

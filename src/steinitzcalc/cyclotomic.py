@@ -12,20 +12,16 @@ subgroup of Cl(k) generated by classes of degree-1 primes whose Frobenius
 lands in S.  S alone names the target: its modulus is m, and two targets
 are equal exactly when their moduli and member sets are.
 
-`w_norm_character` computes it in closed form.  The Frobenius of a degree-1
-prime p not dividing m is N(p) mod m, and by Chebotarev in the ray class
-field mod m every ray class holds degree-1 primes, so
-
-  W(k, E) = { c in Cl(k) : N(c) mod m in S * N_m },
-  N_m     = { N(alpha) mod m : alpha in O_k, gcd(N(alpha), m) = 1 },
-
-where N(c) is any value coprime to m of a form in the class c.  N(c) is well
-defined modulo N_m and norms multiply, so c -> N(c) is a homomorphism chi
-from Cl(k) to (Z/m)* / (S * N_m) and W is its kernel: its values on the k
-coordinate basis classes of the discrete-log table fix W, found by
-Schreier's lemma over the at most phi(m) cosets of that quotient.  No primes
-are needed and no class is visited beyond the basis and the first members
-that generate W; this is the path `rt` uses.
+`w_norm_character` computes it in closed form.  E is abelian over Q, so
+its meet with the Hilbert class field of k lies in the genus field
+k(sqrt p_1*, ..., sqrt p_mu*), D = p_1* ... p_mu* (Cox, Primes of the form
+x^2 + ny^2, section 6), and by Chebotarev W(k, E) is the common kernel of
+the genus characters chi_d(c) = kronecker(d, n), n a value of c's form
+prime to d, over the products d of the p_i* with k(sqrt d) inside E.  They
+are read on the k coordinate basis classes of the discrete-log table, and
+W follows by Schreier's lemma over their image, an elementary 2-group.  No
+primes are needed and no class is visited beyond the basis and the first
+members that generate W; this is the path `rt` uses.
 
 `w_group` computes the same group by sieving rational primes, certified by a
 doubling-window stabilization rule (two consecutive quiet windows).  It is
@@ -50,18 +46,18 @@ from .classgroup import (
     _in_lattice,
     _lattice_order,
     class_group,
-    principal_form,
 )
 from .errors import (
     EnumerationCeilingError,
     InadmissibleError,
     InternalInvariantError,
 )
+from .grouptree import _prime_factors
 
 DEFAULT_HARD_CEILING = 100_000_000
 INITIAL_BOUND_CAP = 1_000_000
 _SCAN_CHUNK = 1 << 16
-# The largest W modulus m = o(tau): N_m and the unit group cost m^2 steps.
+# The largest W modulus m = o(tau): the unit group's closure costs m^2 steps.
 MAX_MODULUS = 1000
 # Bound of the per-modulus caches (unit groups, Kronecker kernels): far
 # above what one corpus of trees meets.
@@ -188,83 +184,83 @@ def _check_target(field: QuadField, s: CycloSubgroup):
         raise InadmissibleError(f"{s} is not inside Gal(k(zeta_{s.modulus})/k) = {gal}")
 
 
-def _unit_values(a: int, b: int, c: int, m: int):
-    """Values of a x^2 + b xy + c y^2 over (x, y) mod m that are units mod m,
-    reduced mod m (the values mod m depend only on (x, y) mod m)."""
-    for x in range(m):
-        for y in range(m):
-            v = (a * x * x + b * x * y + c * y * y) % m
-            if gcd(v, m) == 1:
-                yield v
+def _genus_candidates(disc: int, m: int) -> list:
+    """The prime discriminants of D whose characters are defined mod m: p*
+    (p if p = 1 mod 4, else -p) for each odd prime p | gcd(m, D), and the
+    2-part of D, +-2^v with the sign of D / 2^v mod 4, when 2^v | m.  Q has
+    none."""
+    if disc == 0:
+        return []
+    out = [p if p % 4 == 1 else -p for p in _prime_factors(gcd(m, disc)) if p != 2]
+    v = (disc & -disc).bit_length() - 1  # v_2(D)
+    if v and m % (1 << v) == 0:
+        out.append(1 << v if (disc >> v) % 4 == 1 else -(1 << v))
+    return out
 
 
 def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
-    """W(k, E) for E the fixed field of s, as { c : N(c) mod m in s * N_m },
-    with m = s.modulus.
+    """W(k, E) for E the fixed field of s, m = s.modulus: the common kernel
+    of the chi_d for the products d of `_genus_candidates` with
+    kronecker(d, a) = 1 for every a in s, chi_d(c) = kronecker(d, n) for n
+    a value of c's reduced form prime to g = gcd(m, D).
 
-    N_m is the group of unit residues mod m of the principal form (the norms
-    of integers coprime to m), and N(c) is a unit value mod m of c's reduced
-    form; it is well defined modulo N_m, and norms multiply, so c -> N(c)
-    is a homomorphism chi from Cl(k) to Q = (Z/m)* / (s * N_m) and W is its
-    kernel.  chi is read only on the coordinate basis e_1, ..., e_k of the
-    class group's discrete-log table, and the kernel follows by Schreier's
-    lemma over Q, which has at most phi(m) cosets: with H the image of
-    e_1, ..., e_{t-1}, the least n >= 1 with chi(e_t)^n in H gives the
-    relation n*e_t - x for the x in that span with chi(x) = chi(e_t)^n, and
-    these k relations with diag(d_i) span the kernel's lattice.  H is kept
-    as the set of units in its cosets, so no coset needs a name.  The
-    generators are the kernel's members in index order that enlarge the
-    span, up to |W|: the choice a closure-grown scan of the sorted member
-    set makes (`_grow`).  Three cheap checks guard chi: |W| * |chi(Cl)| = h,
-    every generator's own unit value lies in s * N_m, and the generators
-    span the kernel.
+    The kept characters are read only on the coordinate basis e_1, ..., e_k
+    of the class group's discrete-log table, as bit vectors, and the kernel
+    follows by Schreier's lemma over their image, an elementary 2-group:
+    with H the image of e_1, ..., e_{t-1}, n = 1 if chi(e_t) is in H and
+    n = 2 otherwise gives the relation n*e_t - x for the x in that span
+    with chi(x) = chi(e_t)^n, and these k relations with diag(d_i) span the
+    kernel's lattice.  The generators are the kernel's members in index
+    order that enlarge the span, up to |W|: the choice a closure-grown scan
+    of the sorted member set makes (`_grow`).  Three cheap checks guard chi:
+    |W| * |chi(Cl)| = h, every generator lies in every kernel, and the
+    generators span the kernel.
 
     Once s is checked, the result is kept in the class group's `_w_cache`
-    under s itself, and N_m in its `_norms` under m, so the targets of one
-    modulus share one m^2 evaluation; `class_group.cache_clear()` drops
-    both with the group.
+    under s itself; `class_group.cache_clear()` drops it with the group.
     """
     _check_target(field, s)
     cg = class_group(field.disc)
     if s in cg._w_cache:
         return cg._w_cache[s]
     m = s.modulus
-    norms = cg._norms.get(m)
-    if norms is None:
-        # a tuple: it is only iterated, and is kept for every (D, m)
-        norms = cg._norms[m] = tuple(set(_unit_values(*principal_form(field.disc), m)))
-    target = {a * n % m for a in s.members for n in norms}
+    g = gcd(m, field.disc)
+    chars = [1]
+    for p in _genus_candidates(field.disc, m):
+        chars += [d * p for d in chars]
+    kept = [d for d in chars[1:] if all(_kernels.kronecker(d, a) == 1 for a in s.members)]
 
-    def value(i):
-        # a primitive form always takes a unit value mod m
-        return next(_unit_values(*cg.form(i), m))
+    def chi(i):
+        # the kept characters on class i as a bit vector; a primitive form
+        # takes a value prime to g at some x, y < g, by CRT
+        if not kept:
+            return 0
+        a, b, c = cg.form(i)
+        n = next(v for x in range(g) for y in range(g) if gcd(v := a*x*x + b*x*y + c*y*y, g) == 1)
+        return sum(1 << j for j, d in enumerate(kept) if _kernels.kronecker(d, n) < 0)
 
     moduli = cg._dlog[2]
     k = len(moduli)
-    # each unit of the image so far -> a vector of the span that chi maps
-    # to its coset
-    image = dict.fromkeys(target, (0,) * k)
+    # each bit vector of the image so far -> a vector of the span that chi
+    # maps to it
+    image = {0: (0,) * k}
     relations = []
     for t in range(k):
-        u = value(cg._at([int(i == t) for i in range(k)]))
-        n, x = 1, u
-        while x not in image:
-            n, x = n + 1, x * u % m
+        u = chi(cg._at([int(i == t) for i in range(k)]))
+        n, x = (1, u) if u in image else (2, 0)
         relations.append([-c for c in image[x][:t]] + [n] + [0] * (k - t - 1))
-        reached, p = list(image.items()), 1 % m
-        for j in range(1, n):
-            p = p * u % m
-            image.update({y * p % m: v[:t] + (j,) + v[t + 1:] for y, v in reached})
+        if n == 2:
+            image.update({y ^ u: v[:t] + (1,) + v[t + 1:] for y, v in list(image.items())})
     hnf = cg._lattice(relations)
     order = _lattice_order(moduli, hnf)
-    if order * len(image) != cg.order * len(target):
+    if order * len(image) != cg.order:
         raise InternalInvariantError(
-            f"norm character of disc {field.disc} mod {m}: kernel of order {order} "
-            f"and image of order {len(image) // len(target)} in a group of order {cg.order}"
+            f"genus characters of disc {field.disc} mod {m}: kernel of order {order} "
+            f"and image of order {len(image)} in a group of order {cg.order}"
         )
     members = (i for i in range(cg.order) if _in_lattice(hnf, cg._coords(i)))
     span, gens = _grow(cg, cg._trivial_hnf, members, order)
-    if any(value(g) not in target for g in gens):
+    if any(chi(x) for x in gens):
         raise InternalInvariantError(f"a generator of W is outside the kernel of chi mod {m}")
     if span != hnf:
         raise InternalInvariantError(f"the generators of W do not span the kernel of chi mod {m}")

@@ -11,13 +11,13 @@ For the supported trees the recursion is
 
 where E_tau is the fixed field of the exponents of tau realized by the
 action, powers of a subgroup mean images under x -> x^e, and W-groups come
-from the norm character (`cyclotomic.w_norm_character`), with no prime
-enumeration, kept in the class group until `class_group.cache_clear()`.
-A node's W targets (the tau list with its exponents, each tau's Frobenius
-subgroup from `cyclotomic.g_k_mu_tau`, grouped by equal target and
-exponent) depend on the field only through the Galois groups of the moduli
-o(tau); they are derived once per (node, Galois groups) and kept in bounded
-module-level caches that hold no class group (`clear_caches` empties them).
+from the genus characters of k (`cyclotomic.w_norm_character`), with no
+prime enumeration, kept in the class group until `class_group.cache_clear()`.
+A node's W targets (each tau's Frobenius subgroup from `g_k_mu_tau` and its
+exponent, grouped by equal target and exponent) depend on the field only
+through the Galois groups of the moduli o(tau), the prime powers dividing
+the exponent of H; they are derived once per (node, Galois groups) and kept
+in a bounded module-level cache that holds no class group (`clear_caches`).
 A subgroup times itself is itself, so each distinct W(k, E)^exp is folded
 once with its tau count; traces keep `"dedupe": true`, which replay ignores.
 The engine accepts exactly the tree shapes the underlying theorems cover
@@ -43,7 +43,7 @@ prime enumeration `cyclotomic.w_group`.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import cyclotomic, grouptree
 from .classgroup import ClassSubgroup, QuadField, QuadForm, class_group, subgroup_generate
@@ -208,50 +208,47 @@ class _Engine:
 
 # -- W targets of a node, derived once per node and Galois group -----------------
 
-# Bounds of the module-level caches below; the keys hold group-tree parts and
+# Bound of the module-level cache below; its keys hold group-tree parts and
 # subgroups of (Z/mZ)*, never a class group, so `class_group.cache_clear()`
 # still frees everything that belongs to a field.
-_TAU_LIST_CACHE_SIZE = 256
 _FOLD_CACHE_SIZE = 1024
 _fold_cache = OrderedDict()
 
 
-@lru_cache(maxsize=_TAU_LIST_CACHE_SIZE)
-def _tau_exponents(h, m):
-    """(tau, o(tau), W exponent) for every tau != 1 in the Sylow parts of h,
-    l by l in canonical order, in a node whose acting group has order m;
-    and the sorted distinct o(tau)."""
-    n = h.order
-    taus = []
-    for l in _prime_factors(n):
-        for tau in h.sylow_part(l):
-            o = h.element_order(tau)
-            if o != 1:
-                taus.append((tau, o, w_exponent(l, o, m, n)))
-    return tuple(taus), tuple(sorted({o for _, o, _ in taus}))
-
-
 def _node_folds(field, h, mu, m):
     """The node's W factors over `field` as (s, exponent, tau count): the
-    Frobenius target s of each tau (the realized exponents inside
-    Gal(k(zeta_o)/k), so s.modulus = o(tau); {1} in a leaf, where mu is
-    None), grouped by (s, exponent).  The field enters only through the
-    Galois groups of the moduli o(tau), so the list is cached under (node,
-    those groups) and fields with the same Galois groups share it."""
-    taus, moduli = _tau_exponents(h, m)
-    gals = tuple(cyclotomic.galois_group(field, o) for o in moduli)
+    Frobenius target s of each tau != 1 in the Sylow parts of h, l by l in
+    canonical order (the realized exponents inside Gal(k(zeta_o)/k), so
+    s.modulus = o(tau); {1} in a leaf, where mu is None), grouped with its
+    W exponent in a node whose acting group has order m.  The field enters
+    only through the Galois groups of the moduli o(tau), the l^j dividing
+    h's exponent, so the list is cached under (node, those groups) and
+    fields with the same Galois groups share it."""
+    exponent = max(h.invariant_factors, default=1)
+    moduli = []
+    for l in _prime_factors(exponent):
+        o = l
+        while exponent % o == 0:
+            moduli.append(o)
+            o *= l
+    gals = tuple(cyclotomic.galois_group(field, o) for o in sorted(moduli))
     key = (h, mu, m, gals)
     folds = _fold_cache.get(key)
     if folds is not None:
         _fold_cache.move_to_end(key)
         return folds
+    n = h.order
     contributions = Counter()
-    for tau, o, exp in taus:
-        if mu is None:
-            s = cyclotomic.CycloSubgroup(o, frozenset([1]))
-        else:
-            s = cyclotomic.g_k_mu_tau(field, mu, tau)
-        contributions[s, exp] += 1
+    for l in _prime_factors(n):
+        for tau in h.sylow_part(l):
+            o = h.element_order(tau)
+            if o == 1:
+                continue
+            if mu is None:
+                s = cyclotomic.CycloSubgroup(o, frozenset([1]))
+            else:
+                s = cyclotomic.g_k_mu_tau(field, mu, tau)
+            contributions[s, w_exponent(l, o, m, n)] += 1
     folds = tuple((s, exp, count) for (s, exp), count in contributions.items())
     _fold_cache[key] = folds
     if len(_fold_cache) > _FOLD_CACHE_SIZE:
@@ -260,10 +257,9 @@ def _node_folds(field, h, mu, m):
 
 
 def clear_caches():
-    """Drop every cached W target, tau list and Galois group; answers do
-    not depend on them."""
+    """Drop every cached W target and Galois group; answers do not depend
+    on them."""
     _fold_cache.clear()
-    _tau_exponents.cache_clear()
     cyclotomic._kronecker_kernel.cache_clear()
     cyclotomic.unit_group.cache_clear()
 

@@ -358,6 +358,25 @@ def test_check_suites(capture):
     assert "PASS" in out
 
 
+W_CHECK = "wgroup: w_norm_character equals the enumeration for S = {1} and Gal, m = 3, 4, 5, 8"
+
+
+def test_check_wgroup_compares_the_production_w(capture, monkeypatch):
+    # W(k, E) != Cl at -84 for S = {1} mod 3; a genus path that sees no
+    # character returns Cl there, and only the comparison line notices
+    code, out, _ = capture("check", "--suite", "wgroup", "--disc", "-84")
+    assert code == 0 and f"PASS  {W_CHECK}" in out
+    sc.class_group.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_genus_candidates", lambda disc, m: [])
+    try:
+        code, out, _ = capture("check", "--suite", "wgroup", "--disc", "-84")
+    finally:
+        sc.class_group.cache_clear()
+    assert code == 4
+    assert f"FAIL  {W_CHECK}" in out
+    assert "PASS  wgroup: monotone in the Frobenius target" in out
+
+
 def test_check_classgroup_compares_with_kernel(capture, monkeypatch):
     # relabelling two classes of C5 that no automorphism swaps gives a law
     # that still passes the group-axiom checks; only the comparison with

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from math import gcd
 from pathlib import Path
 
@@ -365,11 +366,19 @@ def _w_members_by_norm(field, m, s):
 
 def _w_cases(rng):
     """Seeded (disc, m) pairs: Q and m = 1, fields with |D| dividing m, small
-    seeded fields and moduli, and one field with h >= 5000."""
-    cases = [(0, 1), (0, 12), (-3, 1), (-15, 15), (-20, 20), (-24, 24), (-84, 84)]
+    seeded fields and moduli, even D with 4 | m and 8 | m (the characters
+    of -4 and +-8), one field with h >= 5000, and -2042040 = -8 * 3 * 5 * 7 *
+    11 * 13 * 17: seven prime discriminants, the most any D within the cap
+    on |D| has."""
+    cases = [(0, 1), (0, 8), (0, 12), (-3, 1), (-5460, 1)]
+    cases += [(-15, 15), (-20, 20), (-24, 24), (-84, 84)]
     discs = [d for d in range(-3, -20001, -1) if sc.is_fundamental(d)]
     cases += [(rng.choice(discs), rng.randrange(2, 31)) for _ in range(24)]
+    even = [d for d in discs if d % 4 == 0]
+    cases += [(rng.choice(even), 4 * rng.randrange(1, 7)) for _ in range(8)]
+    cases += [(d, m) for d in (-4, -8, -24, -40, -56, -120, -5460) for m in (4, 8, 24)]
     cases += [(-9951191, m) for m in (3, 5, 13)]
+    cases += [(-2042040, m) for m in (8, 24, 40)]
     return cases
 
 
@@ -394,34 +403,41 @@ def test_w_norm_character_matches_per_form_oracle():
     assert proper > 0 and sc.class_group(-9951191).order >= 5000
 
 
-def _corrupt_unit_values(monkeypatch, disc, g):
-    """Multiply every unit value of a non-principal form of discriminant disc
-    by g: a map on classes that is no homomorphism."""
-    real = cyclotomic._unit_values
-    principal = tuple(sc.principal_form(disc))
-
-    def corrupted(a, b, c, m):
-        for v in real(a, b, c, m):
-            yield v if (a, b, c) == principal else v * g % m
-
+@pytest.mark.parametrize("disc", [-23, -9951191])
+def test_cold_w_at_the_largest_modulus_is_fast(disc):
+    # no step of W is quadratic in m: at m = 997, once the class group and
+    # the Galois group are built, one W takes well under a millisecond
+    field, s = sc.QuadField(disc), CycloSubgroup(997, frozenset([1]))
     sc.class_group.cache_clear()
-    monkeypatch.setattr(cyclotomic, "_unit_values", corrupted)
+    galois_group(field, 997)
+    sc.class_group(disc)
+    start = time.perf_counter()
+    w_norm_character(field, s)
+    assert time.perf_counter() - start < 0.05
+
+
+def _add_candidate(monkeypatch, d):
+    """Offer d, which is no prime discriminant of D, as a genus candidate:
+    chi_d read on one value of each form is no homomorphism on classes."""
+    real = cyclotomic._genus_candidates
+    sc.class_group.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_genus_candidates", lambda disc, m: real(disc, m) + [d])
 
 
 def test_w_norm_character_checks_kernel_and_image_orders(monkeypatch):
-    # over -23 the non-principal classes get a non-square value mod 23, of
-    # order 2 in (Z/23)*/squares, but Cl = C3 has no element of order 2
-    _corrupt_unit_values(monkeypatch, -23, 5)
+    # over -23 the classes of (2, +-1, 3) take the value 3, a non-residue mod 5,
+    # so chi_5 has an image of order 2, but Cl = C3 has no element of order 2
+    _add_candidate(monkeypatch, 5)
     with pytest.raises(InternalInvariantError, match="kernel of order 3 and image of order 2"):
         w_norm_character(sc.QuadField(-23), CycloSubgroup(23, frozenset([1])))
 
 
 def test_w_norm_character_checks_generator_values(monkeypatch):
-    # the corrupted map is no homomorphism: the kernel its basis values give
-    # holds a generator whose own (corrupted) value lies outside s * N_m
-    _corrupt_unit_values(monkeypatch, -420, 3)
+    # the kernel the basis values give holds a generator whose own value
+    # of chi_5 is -1
+    _add_candidate(monkeypatch, 5)
     with pytest.raises(InternalInvariantError, match="generator of W is outside"):
-        w_norm_character(sc.QuadField(-420), CycloSubgroup(4, frozenset([1])))
+        w_norm_character(sc.QuadField(-420), CycloSubgroup(3, frozenset([1])))
 
 
 def test_w_norm_character_checks_generators_span(monkeypatch):
@@ -446,35 +462,6 @@ def test_w_norm_character_cached_on_class_group():
     again = w_norm_character(k, s)
     assert again is not first and again.group is not first.group
     assert again.members == first.members and again.generators == first.generators
-
-
-@pytest.mark.parametrize("disc, m", [(-5460, 12), (-1155, 7), (-84, 21)])
-def test_norm_residues_evaluated_once_per_modulus(monkeypatch, disc, m):
-    # every target of one modulus shares the field's N_m, and each W is the
-    # one a cold evaluation of N_m gives
-    field = sc.QuadField(disc)
-    principal = tuple(sc.principal_form(disc))
-    units = sorted(galois_group(field, m).members)
-    targets = {CycloSubgroup(m, frozenset(pow(a, j, m) for j in range(m))) for a in units}
-    targets.add(galois_group(field, m))
-    assert len(targets) > 2
-    cold = {}
-    for s in targets:
-        sc.class_group.cache_clear()
-        w = w_norm_character(field, s)
-        cold[s] = (w.hnf, w.generators)
-    sc.class_group.cache_clear()
-    calls = []
-    values = cyclotomic._unit_values
-    monkeypatch.setattr(
-        cyclotomic, "_unit_values",
-        lambda a, b, c, n: calls.append((a, b, c, n)) or values(a, b, c, n),
-    )
-    for s in targets:
-        w = w_norm_character(field, s)
-        assert (w.hnf, w.generators) == cold[s]
-    assert calls.count(principal + (m,)) == 1
-    assert list(sc.class_group(disc)._norms) == [m]
 
 
 @pytest.mark.parametrize("disc, m", [(-5460, 12), (-420, 3), (-84, 7)])
