@@ -21,11 +21,12 @@ prime to d, over the products d of the p_i* with k(sqrt d) inside E.  They
 are read on the k coordinate basis classes of the discrete-log table, and
 W follows by Schreier's lemma over their image, an elementary 2-group.  No
 primes are needed and no class is visited beyond the basis and the first
-members that generate W; this is the path `rt` uses.
+members that generate W; this is the one W path of `rt` and `wgroup`.
 
 `w_group` computes the same group by sieving rational primes, certified by a
 doubling-window stabilization rule (two consecutive quiet windows).  It is
-kept as the independent oracle the closed form is tested against.  Each
+kept as the independent oracle the closed form is tested against, and runs
+only in `check --suite wgroup`, `realizable.rt_dihedral` and tests.  Each
 window's new prime classes, in sorted order, grow the W-group's lattice in
 discrete-log coordinates (`classgroup._grow`), and the classes that
 enlarged it are kept as its generators.
@@ -57,7 +58,8 @@ from .grouptree import _prime_factors
 DEFAULT_HARD_CEILING = 100_000_000
 INITIAL_BOUND_CAP = 1_000_000
 _SCAN_CHUNK = 1 << 16
-# The largest W modulus m = o(tau): the unit group's closure costs m^2 steps.
+# The largest W modulus m = o(tau).  Each modulus in use keeps its unit group
+# and Kronecker kernels, up to phi(m) residues each, in the caches below.
 MAX_MODULUS = 1000
 # Bound of the per-modulus caches (unit groups, Kronecker kernels): far
 # above what one corpus of trees meets.
@@ -93,11 +95,24 @@ class CycloSubgroup:
         for a in mem:
             if gcd(a, m) != 1:
                 raise InadmissibleError(f"member {a} not coprime to {m}")
-            for b in mem:
-                if (a * b) % m not in mem:
+        # Each member not yet reached becomes a generator g, checked by
+        # x*g in S for every x in S; the generators then reach every member,
+        # so S*S lies in S.  A new generator at least doubles the reached
+        # subgroup, so this costs |S| log|S| steps, not |S|^2.
+        ordered = sorted(mem)
+        reached = {1 % m}
+        for g in ordered:
+            if g in reached:
+                continue
+            for x in ordered:
+                if x * g % m not in mem:
                     raise InadmissibleError(
-                        f"member set not closed under multiplication ({a},{b})"
+                        f"member set not closed under multiplication ({x},{g})"
                     )
+            base, step = list(reached), g
+            while step not in reached:
+                reached.update(x * step % m for x in base)
+                step = step * g % m
 
     @property
     def order(self) -> int:

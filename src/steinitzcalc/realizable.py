@@ -55,10 +55,10 @@ from .steinitz import membership_exponents  # unused: rtbench/tracer.py wraps th
 _TRACE_VERSION = 2
 
 # The largest |H|*|G| of a node (|G| = 1 for a leaf): each tau in H costs an
-# order, a Frobenius target and a walk over G.  Cold `rt` at D = -23 (pure
-# Python, 2-vCPU VM) answers C(3)^10 (59049) in 0.4 s and C(7)^5 x| C(3)
-# (50421) in 0.8 s; C(3)^11 took 1.4 s and 74 MB, C(7)^6 x| C(3) 6.2 s, and
-# time and memory grow linearly beyond.
+# order and, under an action, a Frobenius target and a walk over G.  Cold
+# `rt` at D = -23 (pure Python, 2-vCPU VM) answers C(3)^10 (59049) in 0.4 s
+# and C(7)^5 x| C(3) (50421) in 0.8 s; C(3)^11 took 1.4 s and 74 MB,
+# C(7)^6 x| C(3) 6.2 s, and time and memory grow linearly beyond.
 MAX_TAU_WORK = 60_000
 
 
@@ -238,16 +238,15 @@ def _node_folds(field, h, mu, m):
         _fold_cache.move_to_end(key)
         return folds
     n = h.order
+    # a leaf's target is {1} mod o(tau): one per modulus, shared by its taus
+    ones = {o: cyclotomic.CycloSubgroup(o, frozenset([1])) for o in moduli}
     contributions = Counter()
     for l in _prime_factors(n):
         for tau in h.sylow_part(l):
             o = h.element_order(tau)
             if o == 1:
                 continue
-            if mu is None:
-                s = cyclotomic.CycloSubgroup(o, frozenset([1]))
-            else:
-                s = cyclotomic.g_k_mu_tau(field, mu, tau)
+            s = ones[o] if mu is None else cyclotomic.g_k_mu_tau(field, mu, tau)
             contributions[s, w_exponent(l, o, m, n)] += 1
     folds = tuple((s, exp, count) for (s, exp), count in contributions.items())
     _fold_cache[key] = folds

@@ -4,6 +4,7 @@ import argparse
 import functools
 import io
 import json
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -63,7 +64,51 @@ def test_wgroup_output(capture):
     data = json.loads(out)
     assert data["order"] == 2 and data["index"] == 2
     assert data["generators"] == [[3, 0, 7]]
-    assert data["stabilized_bound"] >= data["initial_bound"]
+    assert "initial_bound" not in data and "stabilized_bound" not in data
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+@pytest.mark.parametrize("disc", [-84, -420, -1155, -3315])
+def test_wgroup_matches_the_enumeration_oracle(capture, disc, m):
+    field = sc.QuadField(disc)
+    for s in (cyclotomic.CycloSubgroup(m, frozenset([1])), cyclotomic.galois_group(field, m)):
+        subgroup = ",".join(map(str, s.sorted_members()))
+        code, out, _ = capture(
+            "wgroup", "--disc", str(disc), "--modulus", str(m), "--subgroup", subgroup, "--json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        oracle = sc.w_group(field, s).subgroup
+        factors, gens = oracle.structure()
+        assert (data["order"], data["index"], data["invariant_factors"]) == (
+            oracle.order, oracle.index_in_parent, list(factors)
+        )
+        assert data["generators"] == [list(oracle.group.form(i)) for i in gens]
+
+
+def test_wgroup_enumerates_no_primes(capture, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wgroup enumerated primes")
+
+    monkeypatch.setattr(cyclotomic, "w_group", refuse)
+    monkeypatch.setattr(_kernels, "scan_w_forms", refuse)
+    sc.class_group.cache_clear()
+    code, out, _ = capture(
+        "wgroup", "--disc", "-2042040", "--modulus", "8", "--subgroup", "1", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["order"], data["index"]) == (224, 2)
+    assert data["generators"] == [
+        [722, 416, 767], [7, 0, 72930], [15, 0, 34034], [17, 0, 30030], [33, 0, 15470]
+    ]
+
+
+def test_wgroup_bound_is_gone(capture):
+    # wgroup enumerates no primes, so there is no prime bound to set
+    with pytest.raises(SystemExit) as exc:
+        capture("wgroup", "--disc", "-84", "--modulus", "3", "--subgroup", "1", "--bound", "100")
+    assert exc.value.code == 2
 
 
 def test_wgroup_bad_subgroup_exit_2(capture):
@@ -74,13 +119,11 @@ def test_wgroup_bad_subgroup_exit_2(capture):
 
 
 def test_wgroup_ceiling_exit_3(capture, monkeypatch):
-    monkeypatch.setenv("STEINITZ_PRIME_CEILING", "120")
-    code, _, err = capture(
-        "wgroup", "--disc", "-84", "--modulus", "3", "--subgroup", "1",
-        "--bound", "100",
-    )
+    # only check's enumeration oracle has a prime ceiling
+    monkeypatch.setenv("STEINITZ_PRIME_CEILING", "50000")
+    code, _, err = capture("check", "--suite", "wgroup", "--disc", "-84")
     assert code == 3
-    assert "stabilize" in err or "ceiling" in err
+    assert "did not stabilize below ceiling 50000" in err
 
 
 def test_steinitz_subcommand(capture):
@@ -607,3 +650,28 @@ def test_rt_malformed_group_spec_exit_2(capture, tmp_path, text):
     code, out, err = capture("rt", "--disc", "-23", "--group", str(path))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_lines():
+    """The `steinitzcalc ...` lines of the sh block under README's CLI heading."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("steinitzcalc ")]
+
+
+def test_readme_cli_lines_run(capture, monkeypatch, tmp_path):
+    # every command README shows runs as written from a checkout; a --trace
+    # file goes under tmp_path instead
+    lines = _readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(cli._parser()[1])
+    monkeypatch.chdir(README.parent)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "--trace" in argv:
+            at = argv.index("--trace") + 1
+            argv[at] = str(tmp_path / Path(argv[at]).name)
+        code, _, err = capture(*argv)
+        assert code == 0, (line, err)

@@ -50,6 +50,36 @@ def test_subgroup_validation():
     assert CycloSubgroup(1, frozenset([0])).order == 1
 
 
+@pytest.mark.parametrize("m", [8, 12, 15, 16, 20, 21])
+def test_generator_closure_check_agrees_with_all_pairs(m):
+    # the closure check over a generating set accepts exactly the unit sets
+    # with 1 whose pairwise products stay inside, and names a failing pair
+    units = [a for a in range(2, m) if gcd(a, m) == 1]
+    accepted = 0
+    for mask in range(1 << len(units)):
+        mem = frozenset([1] + [a for j, a in enumerate(units) if mask >> j & 1])
+        closed = all(a * b % m in mem for a in mem for b in mem)
+        try:
+            CycloSubgroup(m, mem)
+        except InadmissibleError as exc:
+            assert not closed and "not closed under multiplication" in str(exc)
+            a, b = map(int, str(exc).rsplit("(", 1)[1].rstrip(")").split(","))
+            assert a in mem and b in mem and a * b % m not in mem
+        else:
+            assert closed
+            accepted += 1
+    assert accepted >= 4
+
+
+def test_cold_unit_group_at_the_largest_prime_modulus_is_fast():
+    # the closure check walks a generating set, a few members of (Z/997Z)*
+    # with 996 products each, not 996^2 products
+    unit_group.cache_clear()
+    start = time.perf_counter()
+    assert unit_group(997).order == 996
+    assert time.perf_counter() - start < 0.05
+
+
 def test_subgroup_equality_and_hash():
     # a W target is keyed by its CycloSubgroup: equal exactly when the
     # modulus and the reduced member set are
