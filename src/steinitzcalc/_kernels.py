@@ -3,11 +3,12 @@
 These are the hot inner loops of the library: prime sieving, Kronecker
 symbols, square roots mod p, prime forms, binary-quadratic-form reduction and
 composition, and the fused "qualifying prime" scan used by the W-group
-enumeration.  A class group is built by composing prime forms
-(`classgroup._dlog_table`); `reduced_forms`, the enumeration of every reduced
-form, is only the oracle of that walk.  The kernels are plain Python; callers
-reach them through this module's attributes (`_kernels.compose_reduced(...)`),
-so a caller-side wrapper such as a profiler can replace one by assignment.
+enumeration.  A class group is built by `compose_prime` steps over prime
+forms (`classgroup._dlog_table`); `reduced_forms`, the enumeration of every
+reduced form, is only the oracle of that walk.  The kernels are plain Python;
+callers reach them through this module's attributes
+(`_kernels.compose_prime(...)`), so a caller-side wrapper such as a profiler
+can replace one by assignment.
 
 All forms are positive definite: a > 0 and b*b - 4*a*c = D < 0.
 """
@@ -160,6 +161,34 @@ def compose_reduced(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int):
     return reduce_form(a3, b3, c3)
 
 
+def compose_prime(a: int, b: int, c: int, g, p: int):
+    """`compose_reduced(a, b, c, *g)` for g reduced of prime norm p, the
+    walk's step (Cohen, GTM 138, Algorithm 5.4.7, d = 1 or p); if g[0] != p,
+    `compose_reduced` runs."""
+    q, bq, _ = g
+    if q != p:
+        return compose_reduced(a, b, c, *g)
+    if a % p:  # B = b mod 2a and B = bq mod 2p
+        k = (bq - b) // 2 * pow(a, -1, p) % p
+    else:
+        s = (b + bq) // 2
+        if s % p == 0:  # (a, b, c) = (a / p, b, cp) / g
+            return reduce_form(a // p, b, c * p)
+        k = -c * pow(s, -1, p) % p  # b = bq mod 2p, and p | c + bk
+    a, b, c = a * p, b + 2 * a * k, (c + k * (b + a * k)) // p
+    while True:  # reduce_form, inlined
+        if not (-a < b <= a):
+            k = (a - b) // (2 * a)
+            c += (a * k + b) * k
+            b += 2 * k * a
+        if a > c:
+            a, b, c = c, -b, a
+            continue
+        if a == c and b < 0:
+            b = -b
+        return a, b, c
+
+
 def prime_form(disc: int, p: int):
     """Canonical unreduced form (p, b, c) of a degree-1 prime over p.
 
@@ -190,8 +219,7 @@ def prime_form(disc: int, p: int):
 
 def reduced_forms(disc: int) -> list:
     """All reduced primitive forms of discriminant disc, sorted: the oracle
-    of the class-group walk, which reaches every class from prime forms
-    without enumerating (`classgroup._dlog_table`).
+    of the class-group walk (`classgroup._dlog_table`).
 
     disc < 0 and disc = 0, 1 (mod 4); disc need not be fundamental.  A reduced
     form has |b| <= a <= c, so a*a <= -disc/3, and a*c = (b*b - disc)/4.  For

@@ -156,10 +156,9 @@ class ClassGroup:
     from a, b and D) and its code.  `form(i)` decodes one class, `index_of`
     bisects the keys, and `forms`, the tuple of every form, is decoded in
     one pass on first read, which only listings of many classes (traces,
-    `check`) do.  Keys and discrete-log table come from one walk over the
-    prime forms with p <= sqrt(|D|/3), which generate the group
-    (`_dlog_table`): O(h) kernel compositions give each index a code, whose
-    digits (`_coords`) are its coordinates in Z/d_1 + ... + Z/d_k, so
+    `check`) do.  One walk over the prime forms (`_dlog_table`) gives the
+    keys and a code per index, whose digits (`_coords`) are its
+    coordinates in Z/d_1 + ... + Z/d_k, so
     composition, powers and inverses are vector arithmetic mod d_i, and
     orders are lcms.  A subgroup is the lattice of its coordinates
     (`_lattice`, see ClassSubgroup).  The invariant-factor structure and
@@ -400,80 +399,69 @@ class ClassGroup:
 
 
 def _dlog_table(disc: int):
-    """(keys, (codes, lut, moduli, weights)): the sorted keys of the reduced
-    forms of discriminant disc and their discrete-log table, from one walk.
+    """(keys, (codes, lut, moduli, weights)) of discriminant disc: the sorted
+    keys a * span + b of the reduced forms (span = 2 * isqrt(|D| // 3) + 1,
+    so keys sort as the forms do), packed 8 bytes each, and their discrete
+    log table: codes[i] = sum(c_t * weights[t]) holds the coordinates c_t of
+    index i in Z/moduli[0] + ... + Z/moduli[-1], in a radix where two codes
+    add without carries, and lut maps each sum of two codes to its index
+    (weights[0] = 1), so composition is lut[codes[i] + codes[j]].
 
-    The key of a reduced form (a, b, c) is a * span + b, with span = 2 *
-    isqrt(|D| // 3) + 1: every reduced form has |b| <= a <= isqrt(|D| // 3),
-    so b + span // 2 is a digit in [0, span), the keys order the forms as
-    their (a, b, c) tuples do (c is fixed by a, b and D), and index i is the
-    form with the i-th smallest key.  They are packed into one read-only
-    buffer of 8-byte integers (`memoryview.cast("q")`), which `bisect`
-    reads like a list.
+    The prime forms with p <= isqrt(|D| // 3) generate the group (Cohen, GTM
+    138, sections 5.3-5.4).  The walk takes them in increasing order, skips
+    primes of walked norms, and makes one outside the span S so far the next
+    generator g: the cosets S*g, S*g^2, ... are appended, each element one
+    `_kernels.compose_prime` step from the one |S| places back, until g^n
+    lands in S.  The first generator's cycle ends early: once g^n's inverse
+    (a, -b, c) is at j, the inverses of the elements at j - 1, ..., 1
+    follow.  A position's mixed-radix digits over the generators' |S| are
+    its exponent vector, and each g^n in S gives a row of a lower-triangular
+    relation matrix R.  With U*R*V = diag(d), e has the coordinates
+    (e*V)_t mod d_t for d_t > 1 (section 2.4).
 
-    Index i has coordinates c_t in Z/moduli[0] + ... + Z/moduli[-1], kept
-    only as the digits of codes[i] = sum(c_t * weights[t]) in the mixed
-    radix weights[t + 1] = weights[t] * (2 * moduli[t] - 1), wide enough
-    that the sum of two codes has no carries; lut maps every code whose
-    digits s_t lie in [0, 2 * moduli[t] - 2] to the index at (s_t mod
-    moduli[t]), fewer than 2^k * h entries for k moduli.  So composition is
-    lut[codes[i] + codes[j]], and powers and inverses look up the code of
-    the scaled coordinates (`ClassGroup._coords` reads the digits back).
-
-    Every class holds a reduced form (a, b, c) with a <= sqrt(|D|/3), whose
-    ideal is a product of prime ideals of norm p <= a (an inert p gives the
-    principal ideal (p)).  So the classes of the prime forms with p <=
-    isqrt(|D| // 3) generate the group (Cohen, GTM 138, sections 5.3-5.4),
-    and no reduced form is enumerated.  The walk starts at the principal
-    form and takes those primes in increasing order; a reduced prime form
-    outside the span S of the generators so far becomes the next generator
-    g_j, and the cosets S*g, S*g^2, ... are appended to the walk one at a
-    time, one kernel composition per new element: the element at position p
-    of a coset is the one at p - |S| times g.  So the position p of an
-    element is its back-pointer: with M_j = |S| it is walk[p mod M_j] *
-    g_j^(p div M_j), and the mixed-radix digits of p are its exponent vector
-    over the generators.  The first g^n found in S gives the relation n*e_j =
-    exponents(g^n), read off its position.  The relations form a
-    lower-triangular k x k matrix R with k <= log2(h); with U*R*V = diag(d)
-    for unimodular U and V, an exponent vector a has coordinates (a*V)_t mod
-    d_t, of which those with d_t > 1 are kept (Cohen, GTM 138, section 2.4).
-    Each kept coordinate is filled in walk order, coset by coset, as
-    (coordinate of the back-pointer + n * V[j][t]) mod d_t and summed into
-    the codes, which then follow the sorted forms.
-
-    `lut` gets each sorted index at its code, then its digits are widened
-    one coordinate at a time from low to high: the digits s_t in [m_t, 2*m_t
-    - 2] are a slice copy of those in [0, m_t - 2], one per value of the
-    higher digits filled so far.
-
-    A kernel that breaks the group law is caught on the way: the principal
-    form must fix each generator, no class may be walked twice, and the
-    codes must be h distinct points of a group of order prod(moduli) = h."""
-    compose, reduce = _kernels.compose_reduced, _kernels.reduce_form
+    A broken kernel is caught on the way: the principal form must fix each
+    generator, no class may be walked twice, and the codes must be h
+    distinct points of a group of order prod(moduli) = h."""
+    step = _kernels.compose_prime
     principal = tuple(principal_form(disc))
     walk, position = [principal], {principal: 0}
     cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
     half = isqrt(-disc // 3)
+    walked = bytearray(half + 1)  # walked[a]: a walked class has norm a
     for p in _walk_primes(half):
+        if walked[p]:  # S holds (p, b, c) iff it holds (p, -b, c)
+            continue
         f = _kernels.prime_form(disc, p)
         if f is None:
             continue
-        g = reduce(*f)
+        g = _kernels.reduce_form(*f)
         if g in position:
             continue
-        first = compose(*principal, *g)
+        first = step(*principal, g, p)
         if first != g:
             raise InternalInvariantError(f"principal form of disc {disc} moves the class {g}")
         m = len(walk)
-        while first not in position:  # first = g^n starts the next coset
-            start = len(walk) - m
-            position[first] = len(walk)
-            walk.append(first)
-            for x in walk[start + 1:start + m]:
-                x = compose(*x, *g)
-                position[x] = len(walk)
-                walk.append(x)
-            first = compose(*walk[start + m], *g)
+        if m == 1:
+            while first not in position:
+                position[first] = len(walk)
+                walk.append(first)
+                a, b, c = first
+                j = position.get(first if b == a or a == c else (a, -b, c))
+                if j is not None:
+                    for a, b, c in walk[j - 1:0:-1]:  # g^(n+i) = 1 / g^(j-i)
+                        position[a, -b, c] = len(walk)
+                        walk.append((a, -b, c))
+                    break
+                first = step(a, b, c, g, p)
+        else:
+            while first not in position:  # first = g^n starts the next coset
+                n = len(walk)
+                walk.append(first)
+                walk += [step(a, b, c, g, p) for a, b, c in walk[n + 1 - m:n]]
+                position.update(zip(walk[n:], range(n, n + m)))
+                first = step(*first, g, p)
+        for x in walk[m:]:
+            walked[x[0]] = 1
         n, q = len(walk) // m, position[first]  # n e_j = the digits of g^n's position
         relations.append([-(q // m_i % n_i) for m_i, n_i in cosets] + [n])
         cosets.append((m, n))
@@ -492,8 +480,8 @@ def _dlog_table(disc: int):
     for t, w in zip(keep, weights):  # each kept coordinate, added digit by digit
         col, dt = [0], d[t]
         for (_, r), row in zip(cosets, v):  # walk order: coset by coset
-            col = [(c + n * row[t]) % dt for n in range(r) for c in col]
-        codes = [code + c * w for code, c in zip(codes, col)]
+            col = [(c + n * row[t]) % dt for n in range(r) for c in col] if row[t] else col * r
+        codes = col if w == 1 else [code + c * w for code, c in zip(codes, col)]
     if not distinct or len(set(codes)) != h or prod(moduli) != h:
         raise InternalInvariantError(f"discrete-log table of disc {disc} is not a bijection")
 
@@ -503,7 +491,7 @@ def _dlog_table(disc: int):
     lut = [0] * prod(2 * m - 1 for m in moduli)
     for i, code in enumerate(codes):
         lut[code] = i
-    for t, (m, w) in enumerate(zip(moduli, weights)):
+    for t, (m, w) in enumerate(zip(moduli, weights)):  # digits [m, 2m - 2] copy [0, m - 2]
         prefixes = [0]  # the higher digits s_u in [0, m_u - 1]
         for mu, wu in zip(moduli[t + 1:], weights[t + 1:]):
             prefixes = [p + s * wu for p in prefixes for s in range(mu)]

@@ -7,8 +7,9 @@ element's exponent vector through the walk, changes coordinates per element
 and builds `lut` by reducing every digit vector through a dict.  Its
 generators are other classes than the walk's, so its coordinates differ;
 the production table must give the same group law, inverses and orders.
-`_kernels.reduced_forms` is the oracle of the walk's forms, and genus
-theory of its 2-rank.
+`walk_oracle.composition_walk`, the walk before its step kernel, must give
+the same keys and table bit for bit.  `_kernels.reduced_forms` is the
+oracle of the walk's forms, and genus theory of its 2-rank.
 """
 
 import gc
@@ -25,12 +26,14 @@ from steinitzcalc.classgroup import (
     ClassGroup,
     QuadForm,
     _diagonalize,
+    _walk_primes,
     is_fundamental,
 )
 from steinitzcalc.errors import InadmissibleError, InternalInvariantError
-from steinitzcalc.grouptree import _prime_factors
+from steinitzcalc.grouptree import _is_prime, _prime_factors
 
 from conftest import ACCEPT_DISCS, MIXED_DISCS
+from walk_oracle import composition_walk
 
 LADDER_DISCS = (-1000019, -8000003, -9951191)  # h = 342, 702, 5085
 
@@ -217,9 +220,10 @@ def test_two_rank_is_genus_number(disc):
 
 def test_table_rejects_a_broken_group_law(monkeypatch):
     # every composition lands on the principal class: each generator would
-    # close at once and the walk would collapse to one class, so the kernel
-    # is patched before the build and the walk must say so
+    # close at once and the walk would collapse to one class, so both
+    # kernels are patched before the build and the walk must say so
     monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: (1, 0, 21))
+    monkeypatch.setattr(_kernels, "compose_prime", lambda a, b, c, g, p: (1, 0, 21))
     with pytest.raises(InternalInvariantError, match="moves the class"):
         ClassGroup(-84)
 
@@ -228,8 +232,72 @@ def test_walk_rejects_a_class_walked_twice(monkeypatch):
     # x * g = g: the principal form fixes every generator and the first one
     # looks like an involution, but the second one's coset walks onto itself
     monkeypatch.setattr(_kernels, "compose_reduced", lambda *forms: forms[3:])
+    monkeypatch.setattr(_kernels, "compose_prime", lambda a, b, c, g, p: g)
     with pytest.raises(InternalInvariantError, match="not a bijection"):
         ClassGroup(-84)
+
+
+# -- the walk's step kernel, free inverses and skipped primes ----------------------
+
+
+WALK_DISCS = ORACLE_DISCS + (0,) + tuple(_random_discs(12, 26))
+
+
+def _first_generator_spans(cg):
+    """Whether the walk's first generator, the first prime form that is not
+    principal, generates the class group."""
+    for p in range(2, cg._half + 1):
+        f = _is_prime(p) and _kernels.prime_form(cg.disc, p)
+        if f and _kernels.reduce_form(*f)[0] != 1:
+            return cg.order_of_idx(cg.index_of(_kernels.reduce_form(*f))) == cg.order
+    return False
+
+
+def test_walk_discs_cover_both_kinds_of_walk():
+    # rank 4 has 15 ambiguous classes of order 2, each its own inverse; a
+    # first generator that spans Cl leaves the walk one cycle
+    groups = [ClassGroup(d) for d in WALK_DISCS]
+    assert [len(cg.invariant_factors) for cg in groups].count(4) >= 2
+    assert sum(map(_first_generator_spans, groups)) >= 20
+
+
+@pytest.mark.parametrize("disc", WALK_DISCS)
+def test_walk_matches_the_composition_walk(disc):
+    # the same order of classes, so keys and table are equal bit for bit
+    cg = ClassGroup(disc)
+    keys, dlog = composition_walk(disc)
+    assert cg._keys.tobytes() == keys.tobytes()
+    assert cg._dlog == dlog
+
+
+@pytest.mark.parametrize("disc", WALK_DISCS)
+def test_walk_counts_its_kernel_calls(monkeypatch, disc):
+    # counts, not times: every step is a compose_prime call, whose fallback
+    # is the only general composition; a walk whose first generator spans
+    # Cl makes at most ceil(h/2) + 1 steps; and prime_form runs exactly for
+    # the primes p whose norm no class of the span of the earlier prime
+    # forms has
+    calls = {"compose_prime": [], "compose_reduced": [], "prime_form": []}
+    for name, log in calls.items():
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *a, log=log, k=kernel: log.append(a) or k(*a))
+    cg = ClassGroup(disc)
+    monkeypatch.undo()
+
+    steps = calls["compose_prime"]
+    assert len(calls["compose_reduced"]) == sum(g[0] != p for *_, g, p in steps)
+    if _first_generator_spans(cg):
+        assert len(steps) <= -(-cg.order // 2) + 1, (len(steps), cg.order)
+    span, norms, want = [], set(), []
+    for p in _walk_primes(isqrt(-disc // 3)):
+        if p in norms:
+            continue
+        want.append(p)
+        f = _kernels.prime_form(disc, p)
+        if f is not None:
+            span.append(cg._coords(cg.index_of(_kernels.reduce_form(*f))))
+            norms = {cg.form(i).a for i in cg._members_of(cg._lattice(span))}
+    assert [p for _, p in calls["prime_form"]] == want
 
 
 # -- one packed key per class ---------------------------------------------------------

@@ -278,3 +278,46 @@ def test_prime_form_and_scan(disc):
         if 5 % p and p % 5 in (1, 4) and t is not None:
             want.add(_kernels.reduce_form(*t))
     assert _kernels.scan_w_forms(disc, 5, {1, 4}, 2, 5000) == want
+
+
+def _step_discs():
+    """Small and ramified-rich discriminants, then 8 seeded fundamental ones
+    up to 10^7."""
+    rng, out = Random(26), [-3, -4, -7, -8, -15, -20, -23, -84, -1155, -5460]
+    while len(out) < 18:
+        d = -rng.randrange(1000, 10**7)
+        if is_fundamental(d):
+            out.append(d)
+    return out
+
+
+def test_compose_prime_matches_compose_reduced():
+    # the walk's step against the general kernel: every prime form with
+    # p <= sqrt(|D|/3) + 30 times up to 300 seeded classes.  Above
+    # sqrt(|D|/3) a prime form never reduces to norm p, so those pairs take
+    # the fallback, and at D = -3 and -4 they are the only pairs
+    rng, pairs, cases = Random(7), 0, set()
+    for disc in _step_discs():
+        forms = _kernels.reduced_forms(disc)
+        forms = rng.sample(forms, min(len(forms), 300))
+        for p in _naive_primes(2, isqrt(-disc // 3) + 31):
+            f = _kernels.prime_form(disc, p)
+            if f is None:
+                continue
+            g = _kernels.reduce_form(*f)
+            for a, b, c in forms:
+                assert _kernels.compose_prime(a, b, c, g, p) == _kernels.compose_reduced(a, b, c, *g)
+                pairs += 1
+                if g[0] != p:
+                    case = "fallback"
+                elif a % p:
+                    case = "p !| a"
+                else:
+                    case = "p | s" if (b + g[1]) // 2 % p == 0 else "p !| s"
+                cases.add((case, p == 2, disc % p == 0))
+    assert pairs > 50_000, pairs
+    for case in ("p !| a", "p !| s", "p | s"):
+        assert {(case, True, False), (case, False, False)} <= cases, case
+    # p | a and p | s with p split is g's inverse; with p ramified g's own class
+    assert {("p !| a", False, True), ("p | s", True, True), ("p | s", False, True)} <= cases
+    assert {("fallback", False, False), ("fallback", False, True)} <= cases
