@@ -153,24 +153,22 @@ class ClassGroup:
 
     Elements are indices into the sorted reduced forms.  Each class keeps
     only its form's key a*span + b (`_keys`, packed 8 bytes each; c follows
-    from a, b and D) and its code.  `form(i)` decodes one class, `index_of`
-    bisects the keys, and `forms`, the tuple of every form, is decoded in
-    one pass on first read, which only listings of many classes (traces,
-    `check`) do.  One walk over the prime forms (`_dlog_table`) gives the
-    keys and a code per index, whose digits (`_coords`) are its
-    coordinates in Z/d_1 + ... + Z/d_k, so
-    composition, powers and inverses are vector arithmetic mod d_i, and
-    orders are lcms.  A subgroup is the lattice of its coordinates
-    (`_lattice`, see ClassSubgroup).  The invariant-factor structure and
-    matching generators of a subgroup are a function of its lattice:
-    `_structure_of` computes them in the same coordinates on first use and
-    keeps them in `_structures`, keyed by the lattice, so the group and
-    every subgroup with that lattice share one answer; member sets are kept
+    from a, b and D) and its code.  `form(i)` decodes one class and
+    `index_of` bisects the keys; `forms`, every form, is decoded on first
+    read, by listings only (traces, `check`).  One walk over the prime forms
+    (`_dlog_table`) gives the keys and a code per index, whose digits
+    (`_coords`) are its coordinates in Z/d_1 + ... + Z/d_k, so composition,
+    powers and inverses are vector arithmetic mod d_i, and orders are lcms.
+    A subgroup is the lattice of its coordinates (`_lattice`, see
+    ClassSubgroup); its invariant factors and matching generators depend
+    only on it: `_structure_of` computes them on first use
+    and keeps them in `_structures`, keyed by the lattice, so every
+    subgroup with that lattice shares one answer; member sets are kept
     the same way, in `_members` (`_members_of`), and so are powers, in
     `_powers` (`ClassSubgroup.power`).  `_w_cache` keeps
     `cyclotomic.w_norm_character`'s W-groups, each under its Frobenius
-    subgroup S.  All of them live and die with the group
-    (`class_group.cache_clear()`).
+    subgroup S (W = Cl is `full_subgroup()`, one object per group).  All
+    of them live and die with the group (`class_group.cache_clear()`).
     """
 
     def __init__(self, disc: int):
@@ -359,10 +357,10 @@ class ClassGroup:
         return members
 
     @cached_property
-    def _full_hnf(self):
-        """The identity matrix: the lattice of the whole group."""
+    def _full(self):
+        """Cl as a subgroup, one object per group: the identity lattice."""
         k = len(self._dlog[2])
-        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        return ClassSubgroup(self, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
 
     @cached_property
     def _trivial_hnf(self):
@@ -382,12 +380,12 @@ class ClassGroup:
         return ClassSubgroup(self, self._trivial_hnf)
 
     def full_subgroup(self) -> "ClassSubgroup":
-        return ClassSubgroup(self, self._full_hnf, self.structure()[1])
+        return self._full
 
     def structure(self):
         """(invariant_factors, generator_indices) with factors in a chain
         d_{i+1} | d_i, largest first."""
-        return self._structure_of(self._full_hnf)
+        return self._structure_of(self._full.hnf)
 
     @property
     def invariant_factors(self):
@@ -594,16 +592,17 @@ class ClassSubgroup:
     H^gcd(e, exponent of Cl) by Bezout, so `power` first reduces e to that
     gcd and returns the subgroup itself when it is 1; and `product` returns
     the operand that contains the other, which it tests with `_in_lattice`
-    on the rows of the smaller one.  Each other power is computed once per
-    (lattice, gcd) per class group and kept in `ClassGroup._powers`.
+    on the rows of the smaller one.  Other powers are kept in
+    `ClassGroup._powers`.
 
     `ClassSubgroup(group, hnf, generators)` is the only constructor; it
     trusts `hnf` to be a lattice in `group._lattice`'s normal form and
     checks nothing.  `generators` generate the subgroup: the given classes
     for `subgroup_generate`, the classes W-groups pick with `_grow` (the
-    members in index order that enlarge the span), otherwise the classes
-    of the lattice's rows (so an early exit may hand back generators of
-    either kind; only a W-group's own are ever printed).  `members`, the
+    members in index order that enlarge the span; the whole group grows
+    them on first read), otherwise the classes of the lattice's rows (so an
+    early exit may hand back generators of either kind; only a W-group's
+    own are ever printed).  `members`, the
     frozenset of member indices, is enumerated from the lattice on first
     read, once per lattice per class group (`ClassGroup._members_of`), so
     every subgroup with that lattice shares one set; only output that lists
@@ -617,9 +616,15 @@ class ClassSubgroup:
 
     @cached_property
     def generators(self) -> tuple:
-        """The sorted classes of the lattice's rows, the identity left out."""
-        rows = {self.group._at(row) for row in self.hnf} - {self.group.principal_index}
-        return tuple(sorted(rows))
+        """The sorted classes of the lattice's rows, the identity left out;
+        for the whole group, the classes `_grow` picks from all of Cl."""
+        cg = self.group
+        if not self.is_full():
+            return tuple(sorted({cg._at(row) for row in self.hnf} - {cg.principal_index}))
+        span, grown = _grow(cg, cg._trivial_hnf, range(cg.order), cg.order)
+        if span != self.hnf:
+            raise InternalInvariantError("the generators of Cl do not span it")
+        return tuple(grown)
 
     # -- queries -------------------------------------------------------------
 

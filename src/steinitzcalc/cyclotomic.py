@@ -12,16 +12,12 @@ subgroup of Cl(k) generated by classes of degree-1 primes whose Frobenius
 lands in S.  S alone names the target: its modulus is m, and two targets
 are equal exactly when their moduli and member sets are.
 
-`w_norm_character` computes it in closed form.  E is abelian over Q, so
-its meet with the Hilbert class field of k lies in the genus field
-k(sqrt p_1*, ..., sqrt p_mu*), D = p_1* ... p_mu* (Cox, Primes of the form
-x^2 + ny^2, section 6), and by Chebotarev W(k, E) is the common kernel of
-the genus characters chi_d(c) = kronecker(d, n), n a value of c's form
-prime to d, over the products d of the p_i* with k(sqrt d) inside E.  They
-are read on the k coordinate basis classes of the discrete-log table, and
-W follows by Schreier's lemma over their image, an elementary 2-group.  No
-primes are needed and no class is visited beyond the basis and the first
-members that generate W; this is the one W path of `rt` and `wgroup`.
+`w_norm_character` computes it in closed form, with no primes: E is abelian
+over Q, so its meet with the Hilbert class field of k lies in the genus
+field k(sqrt p_1*, ..., sqrt p_mu*), D = p_1* ... p_mu* (Cox, Primes of the
+form x^2 + ny^2, section 6), and by Chebotarev W(k, E) is the common kernel
+of the genus characters chi_d with k(sqrt d) inside E.  This is the one W
+path of `rt` and `wgroup`.
 
 `w_group` computes the same group by sieving rational primes, certified by a
 doubling-window stabilization rule (two consecutive quiet windows).  It is
@@ -219,17 +215,18 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
     kronecker(d, a) = 1 for every a in s, chi_d(c) = kronecker(d, n) for n
     a value of c's reduced form prime to g = gcd(m, D).
 
-    The kept characters are read only on the coordinate basis e_1, ..., e_k
-    of the class group's discrete-log table, as bit vectors, and the kernel
+    With no kept character W = Cl is `cg.full_subgroup()`, with no lattice
+    work.  Otherwise the kept characters are read on the coordinate basis
+    e_1, ..., e_k of the discrete-log table, as bit vectors, and the kernel
     follows by Schreier's lemma over their image, an elementary 2-group:
     with H the image of e_1, ..., e_{t-1}, n = 1 if chi(e_t) is in H and
     n = 2 otherwise gives the relation n*e_t - x for the x in that span
     with chi(x) = chi(e_t)^n, and these k relations with diag(d_i) span the
-    kernel's lattice.  The generators are the kernel's members in index
-    order that enlarge the span, up to |W|: the choice a closure-grown scan
-    of the sorted member set makes (`_grow`).  Three cheap checks guard chi:
-    |W| * |chi(Cl)| = h, every generator lies in every kernel, and the
-    generators span the kernel.
+    kernel's lattice.  Either way the generators are the members in index
+    order that enlarge the span (`_grow`), for Cl grown on first read.
+    Three checks guard chi: |W| * |chi(Cl)| = h, every generator lies in
+    every kernel, and the generators span W; for Cl the first two are
+    identities and the last runs on that read.
 
     Once s is checked, the result is kept in the class group's `_w_cache`
     under s itself; `class_group.cache_clear()` drops it with the group.
@@ -239,17 +236,18 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
     if s in cg._w_cache:
         return cg._w_cache[s]
     m = s.modulus
-    g = gcd(m, field.disc)
     chars = [1]
     for p in _genus_candidates(field.disc, m):
         chars += [d * p for d in chars]
     kept = [d for d in chars[1:] if all(_kernels.kronecker(d, a) == 1 for a in s.members)]
+    if not kept:
+        cg._w_cache[s] = w = cg.full_subgroup()
+        return w
+    g = gcd(m, field.disc)
 
     def chi(i):
         # the kept characters on class i as a bit vector; a primitive form
         # takes a value prime to g at some x, y < g, by CRT
-        if not kept:
-            return 0
         a, b, c = cg.form(i)
         n = next(v for x in range(g) for y in range(g) if gcd(v := a*x*x + b*x*y + c*y*y, g) == 1)
         return sum(1 << j for j, d in enumerate(kept) if _kernels.kronecker(d, n) < 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import cyclotomic
+from steinitzcalc import _kernels, classgroup, cyclotomic
 from steinitzcalc import grouptree as gt
 from steinitzcalc.cyclotomic import (
     CycloSubgroup,
@@ -471,12 +471,86 @@ def test_w_norm_character_checks_generator_values(monkeypatch):
 
 
 def test_w_norm_character_checks_generators_span(monkeypatch):
-    # a generator scan that stops early leaves the kernel unspanned
+    # a generator scan that stops early leaves the kernel unspanned: over
+    # -420, S = {1} mod 3 keeps chi_-3, whose kernel has index 2
     real = cyclotomic._grow
     monkeypatch.setattr(cyclotomic, "_grow", lambda cg, hnf, cands, stop: real(cg, hnf, cands, 1))
     sc.class_group.cache_clear()
     with pytest.raises(InternalInvariantError, match="do not span"):
-        w_norm_character(sc.QuadField(-23), CycloSubgroup(3, frozenset([1])))
+        w_norm_character(sc.QuadField(-420), CycloSubgroup(3, frozenset([1])))
+
+
+def test_full_subgroup_checks_generators_span(monkeypatch):
+    # W = Cl grows its generators when they are read, under the same check
+    real = classgroup._grow
+    monkeypatch.setattr(classgroup, "_grow", lambda cg, hnf, cands, stop: real(cg, hnf, cands, 1))
+    sc.class_group.cache_clear()
+    w = w_norm_character(K23, CycloSubgroup(3, frozenset([1])))
+    assert w is sc.class_group(-23).full_subgroup()
+    with pytest.raises(InternalInvariantError, match="do not span"):
+        w.generators
+
+
+def _kept(disc, s):
+    """The products d != 1 of the genus candidates with kronecker(d, a) = 1
+    for every a in s."""
+    chars = [1]
+    for p in cyclotomic._genus_candidates(disc, s.modulus):
+        chars += [d * p for d in chars]
+    return [d for d in chars[1:] if all(_kernels.kronecker(d, a) == 1 for a in s.members)]
+
+
+def test_w_is_the_full_subgroup_exactly_when_no_character_is_kept():
+    # W = Cl with no kept character is the group's one full subgroup, with
+    # no lattice work; a kept character, even a trivial one (D = l*), gives
+    # a kernel of its own.  The full subgroup's generators are the grown
+    # members of Cl, the choice the member-set oracle makes.
+    sc.class_group.cache_clear()
+    full_targets = kernel_targets = 0
+    for disc in dict.fromkeys(DIFF_DISCS + GENUS_DISCS):
+        field, cg = sc.QuadField(disc), sc.class_group(disc)
+        full = cg.full_subgroup()
+        assert full is cg.full_subgroup() and full.is_full()
+        for m in (3, 4, 5, 7, 8, 9, 12, 24):
+            for members in _cyclo_subgroups(galois_group(field, m)):
+                s = CycloSubgroup(m, members)
+                kept = _kept(disc, s)
+                assert (w_norm_character(field, s) is full) == (not kept), (disc, m, sorted(members))
+                full_targets += not kept
+                kernel_targets += bool(kept)
+        assert full.generators == subgroup_from_members(cg, range(cg.order)).generators
+    assert full_targets and kernel_targets
+
+
+def test_untraced_rt_grows_lattices_only_for_kept_characters(monkeypatch):
+    # a cold rt calls _grow once per W target with a kept character and
+    # never for W = Cl; reading the traces grows Cl's generators once per
+    # group
+    grows, targets = [], []
+    for module in (classgroup, cyclotomic):
+        real = module._grow
+        monkeypatch.setattr(module, "_grow", lambda *a, _g=real, _m=module: grows.append(_m) or _g(*a))
+    w_norm = cyclotomic.w_norm_character
+
+    def record(field, s):
+        before, cached = len(grows), s in sc.class_group(field.disc)._w_cache
+        w = w_norm(field, s)
+        targets.append((cached, bool(_kept(field.disc, s)), grows[before:]))
+        return w
+
+    monkeypatch.setattr(cyclotomic, "w_norm_character", record)
+    sc.class_group.cache_clear()
+    trees = [gt.tree_from_spec(json.loads(p.read_text())) for p in sorted(SPECS.glob("*.json"))]
+    assert len(trees) == 17
+    discs = (-84, -1155, -1000019, -8000003)  # the last two keep no character
+    results = [sc.rt(sc.QuadField(d), tree) for d in discs for tree in trees]
+    for cached, kept, grown in targets:
+        assert grown == ([cyclotomic] if kept and not cached else []), (cached, kept, grown)
+    assert {(False, True), (False, False)} <= {(cached, kept) for cached, kept, _ in targets}
+    before = len(grows)
+    for result in results:
+        result.trace
+    assert grows[before:] == [classgroup] * len(discs)
 
 
 # -- the W cache on the class group -------------------------------------------------
