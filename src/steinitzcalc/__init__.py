@@ -4,7 +4,7 @@ Computes R_t(k, G) for k = Q or imaginary quadratic and G given as a
 structure tree (abelian leaves, odd-coprime semidirect extensions, direct
 products), together with the supporting machinery: ideal class groups as
 reduced binary quadratic forms, cyclotomic Galois subgroups, W-groups from
-the norm character (with certified prime enumeration as their oracle), and
+the genus characters (verified against primes by `w_group`), and
 the discriminant/Steinitz exponent calculus.
 """
 
@@ -35,7 +35,6 @@ from .cyclotomic import (
     w_norm_character,
 )
 from .errors import (
-    EnumerationCeilingError,
     InadmissibleError,
     InternalInvariantError,
     SteinitzcalcError,
@@ -87,8 +86,8 @@ __all__ = [
     "CycloSubgroup", "WGroup", "galois_group", "g_k_mu_tau", "unit_group",
     "w_group", "w_norm_character",
     # errors
-    "EnumerationCeilingError", "InadmissibleError", "InternalInvariantError",
-    "SteinitzcalcError", "TraceMismatchError",
+    "InadmissibleError", "InternalInvariantError", "SteinitzcalcError",
+    "TraceMismatchError",
     # grouptree
     "AbElement", "AbelianGroup", "AbelianLeaf", "Action", "GroupTree",
     "Direct", "Semidirect", "dihedral_tree", "leaf", "semidirect",

@@ -19,21 +19,18 @@ form x^2 + ny^2, section 6), and by Chebotarev W(k, E) is the common kernel
 of the genus characters chi_d with k(sqrt d) inside E.  This is the one W
 path of `rt` and `wgroup`.
 
-`w_group` computes the same group by sieving rational primes, certified by a
-doubling-window stabilization rule (two consecutive quiet windows).  It is
-kept as the independent oracle the closed form is tested against, and runs
-only in `check --suite wgroup`, `realizable.rt_dihedral` and tests.  Each
-window's new prime classes, in sorted order, grow the W-group's lattice in
-discrete-log coordinates (`classgroup._grow`), and the classes that
-enlarged it are kept as its generators.
+`w_group` verifies that closed form against rational primes: the class of
+every qualifying prime below SOUNDNESS_BOUND must lie in W, and those
+classes, grown into a lattice in discrete-log coordinates
+(`classgroup._grow`), must span W.  It runs only in `check --suite
+wgroup`, `realizable.rt_dihedral` and tests.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, log
+from math import gcd
 
 from . import _kernels, grouptree
 from .classgroup import (
@@ -44,15 +41,12 @@ from .classgroup import (
     _lattice_order,
     class_group,
 )
-from .errors import (
-    EnumerationCeilingError,
-    InadmissibleError,
-    InternalInvariantError,
-)
+from .errors import InadmissibleError, InternalInvariantError
 from .grouptree import _prime_factors
 
-DEFAULT_HARD_CEILING = 100_000_000
-INITIAL_BOUND_CAP = 1_000_000
+# `w_group`'s prime bounds: see its docstring.
+SOUNDNESS_BOUND = 1 << 14
+SPAN_CEILING = 100_000_000
 _SCAN_CHUNK = 1 << 16
 # The largest W modulus m = o(tau).  Each modulus in use keeps its unit group
 # and Kronecker kernels, up to phi(m) residues each, in the caches below.
@@ -60,16 +54,6 @@ MAX_MODULUS = 1000
 # Bound of the per-modulus caches (unit groups, Kronecker kernels): far
 # above what one corpus of trees meets.
 _MODULUS_CACHE_SIZE = 256
-
-
-def hard_ceiling() -> int:
-    value = os.environ.get("STEINITZ_PRIME_CEILING")
-    if value is None:
-        return DEFAULT_HARD_CEILING
-    try:
-        return int(value)
-    except ValueError:
-        raise InadmissibleError(f"STEINITZ_PRIME_CEILING={value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -283,17 +267,12 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
 
 @dataclass(frozen=True)
 class WCertificate:
-    """Audit record of one W-group enumeration.
+    """The primes that verified one W: `final_bound` is the last bound
+    scanned, and `windows` holds (lo, hi, new_generators) per scanned chunk
+    [lo, hi)."""
 
-    `qualifying_hits` counts distinct reduced forms met among qualifying
-    primes (a lower bound on the number of qualifying primes; what matters
-    is that it is positive before stabilization is accepted)."""
-
-    initial_bound: int
     final_bound: int
-    windows: tuple  # (lo, hi, new_generator_count) per window
-    qualifying_hits: int
-    full_group_early_exit: bool
+    windows: tuple
 
 
 @dataclass(frozen=True)
@@ -303,100 +282,52 @@ class WGroup:
     certificate: WCertificate
 
 
-def default_initial_bound(field: QuadField, m: int) -> int:
-    h = class_group(field.disc).order
-    est = int(10 * (h * m * log(abs(field.disc) + 3)) ** 2)
-    return max(100, min(est, INITIAL_BOUND_CAP))
-
-
-def w_group(
-    field: QuadField,
-    s: CycloSubgroup,
-    bound: int = None,
-    ceiling: int = None,
-) -> WGroup:
-    """Subgroup of Cl(k) generated by classes of degree-1 primes p with
-    p mod m in s, m = s.modulus (p not dividing m; split and ramified primes
-    both count).
-
-    Scans [2, bound], then doubling windows until the generated subgroup is
-    unchanged across two consecutive windows with at least one qualifying
-    prime seen overall; stops early once the full class group is reached.
-    Raises EnumerationCeilingError at the hard ceiling: either no qualifying
-    prime was ever found (a configuration error; qualifying primes have
-    positive density) or the subgroup kept growing.
-    """
-    _check_target(field, s)
-    m = s.modulus
-    cg = class_group(field.disc)
-    if bound is None:
-        bound = default_initial_bound(field, m)
-    if ceiling is None:
-        ceiling = hard_ceiling()
-    if bound < 2:
-        raise InadmissibleError(f"initial bound {bound} < 2")
-    if bound > ceiling:
-        raise InadmissibleError(f"initial bound {bound} exceeds the ceiling {ceiling}")
-
-    seen: set = set()  # prime classes met so far
-    gens = []  # those of them that enlarged W
-    w = cg.trivial_subgroup()
-    n_qual = 0
-
-    def full() -> bool:
-        return w.is_full()
-
-    def scan(lo: int, hi: int) -> int:
-        """Absorb qualifying primes in [lo, hi); returns # new generators."""
-        nonlocal w, n_qual
-        new = 0
-        for chunk_lo in range(lo, hi, _SCAN_CHUNK):
-            if full():
-                break
-            chunk_hi = min(chunk_lo + _SCAN_CHUNK, hi)
-            found = _kernels.scan_w_forms(
-                field.disc, m, s.members, chunk_lo, chunk_hi
-            )
-            n_qual += len(found)  # distinct forms, enough for the "seen one" rule
-            fresh = {cg.index_of(t) for t in found} - seen
-            if fresh:
-                new += len(fresh)
-                seen.update(fresh)
-                hnf, grown = _grow(cg, w.hnf, sorted(fresh), cg.order)
-                gens.extend(grown)
-                w = ClassSubgroup(cg, hnf, sorted(gens))
-        return new
-
-    windows = []
-    if full():  # trivial class group: nothing to enumerate
-        cert = WCertificate(bound, 0, (), 0, True)
-        return WGroup(w, s, cert)
-
-    windows.append((2, bound, scan(2, bound + 1)))
-    quiet = 0
-    lo, hi = bound + 1, 2 * bound
-    while not full() and not (quiet >= 2 and n_qual > 0):
-        if lo > ceiling:
-            if n_qual == 0:
-                raise EnumerationCeilingError(
-                    f"no qualifying prime below ceiling {ceiling} for W "
-                    f"({field}, m={m}, S={s}); check the configuration"
-                )
-            raise EnumerationCeilingError(
-                f"W enumeration did not stabilize below ceiling {ceiling}"
-            )
-        hi = min(hi, ceiling)
-        new = scan(lo, hi + 1)
-        windows.append((lo, hi, new))
-        quiet = quiet + 1 if (new == 0 and n_qual > 0) else 0
-        lo, hi = hi + 1, 2 * hi
-
-    cert = WCertificate(
-        initial_bound=bound,
-        final_bound=windows[-1][1],
-        windows=tuple(windows),
-        qualifying_hits=n_qual,
-        full_group_early_exit=full() and quiet < 2,
+def _outside(field: QuadField, s: CycloSubgroup, w: ClassSubgroup, lo: int, hi: int) -> int:
+    """The least qualifying prime in [lo, hi) whose class is not in w."""
+    cg = w.group
+    return next(
+        p
+        for p in _kernels.primes_in_range(lo, hi)
+        for f in _kernels.scan_w_forms(field.disc, s.modulus, s.members, p, p + 1)
+        if not _in_lattice(w.hnf, cg._coords(cg.index_of(f)))
     )
-    return WGroup(w, s, cert)
 
+
+def w_group(field: QuadField, s: CycloSubgroup) -> WGroup:
+    """`w_norm_character(field, s)`, verified against the degree-1 primes p
+    with p mod m in s, m = s.modulus (p not dividing m; split and ramified
+    primes both count).
+
+    Soundness: the class of every such p below SOUNDNESS_BOUND lies in W.
+    Completeness: their classes span W; while they do not, the scan goes on
+    in chunks [lo, lo + _SCAN_CHUNK) up to SPAN_CEILING.  A trivial class
+    group needs no prime.  A failure of either raises InternalInvariantError
+    naming the target and the prime or the ceiling.  Each such class lies
+    in the true W by definition, so the span proves W no larger than the
+    truth; the other inclusion is only tested below the bound (under GRH
+    small primes generate Cl, Bach 1990, but no bound is proved for W).
+    """
+    w = w_norm_character(field, s)
+    cg = w.group
+    if cg.order == 1:
+        return WGroup(w, s, WCertificate(0, ()))
+    span, windows = cg._trivial_hnf, []
+    lo, hi = 2, SOUNDNESS_BOUND
+    while True:
+        found = _kernels.scan_w_forms(field.disc, s.modulus, s.members, lo, hi)
+        classes = sorted({cg.index_of(f) for f in found})
+        if any(not _in_lattice(w.hnf, cg._coords(i)) for i in classes):
+            raise InternalInvariantError(
+                f"W ({field}, S = {s}): the class of the prime "
+                f"{_outside(field, s, w, lo, hi)} lies outside W"
+            )
+        span, grown = _grow(cg, span, classes, w.order)
+        windows.append((lo, hi, len(grown)))
+        if span == w.hnf:
+            return WGroup(w, s, WCertificate(hi, tuple(windows)))
+        if hi >= SPAN_CEILING:
+            raise InternalInvariantError(
+                f"W ({field}, S = {s}): the classes of the primes below the "
+                f"ceiling {SPAN_CEILING} do not span W"
+            )
+        lo, hi = hi, min(hi + _SCAN_CHUNK, SPAN_CEILING)

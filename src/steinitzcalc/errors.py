@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-CLI exit codes: InadmissibleError -> 2, EnumerationCeilingError -> 3,
-InternalInvariantError (and subclasses) -> 4.
+CLI exit codes: InadmissibleError -> 2, InternalInvariantError (and
+subclasses) -> 4.
 """
 
 
@@ -12,10 +12,6 @@ class SteinitzcalcError(Exception):
 class InadmissibleError(SteinitzcalcError):
     """Input rejected: bad discriminant, malformed group tree, bad action,
     parity/coprimality violation, enumeration cap exceeded, and so on."""
-
-
-class EnumerationCeilingError(SteinitzcalcError):
-    """Prime enumeration hit the hard ceiling without stabilizing."""
 
 
 class InternalInvariantError(SteinitzcalcError):

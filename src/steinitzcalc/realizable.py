@@ -36,8 +36,8 @@ generators and raises on any mismatch; it reads version-1 traces (which
 also carry the prime bounds of the old enumeration) as well.
 
 `rt_dihedral` is a deliberately separate code path for D_n (odd n) used as a
-cross-check oracle for the generic engine: it takes its W-groups from the
-prime enumeration `cyclotomic.w_group`.
+cross-check oracle for the generic engine: each of its W-groups is verified
+against primes (`cyclotomic.w_group`).
 """
 
 from __future__ import annotations
@@ -297,13 +297,14 @@ def rt(field: QuadField, tree: grouptree.GroupTree) -> RtResult:
     return RtResult(sub, record)
 
 
-def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
+def rt_dihedral(field: QuadField, n: int) -> RtResult:
     """R_t(k, D_n) for odd n, computed without the generic recursion.
 
     Folds Cl(k)^n with W(k, E)^((l-1) n / o) where E is the fixed field of
     {+-1} inside Gal(k(zeta_o)/k), for each prime power o = l, l^2, ...
     dividing n.  Serves as an independent oracle for `rt` on dihedral trees:
-    its W-groups come from prime enumeration, scanned from `bound`.
+    its targets are built here, not by `g_k_mu_tau`, and each W-group is
+    verified against primes.
     """
     if n < 3 or n % 2 == 0:
         raise InadmissibleError(f"dihedral path wants odd n >= 3, got {n}")
@@ -317,7 +318,7 @@ def rt_dihedral(field: QuadField, n: int, bound=None) -> RtResult:
             members = frozenset(a for a in gal.members if a % o in {1 % o, (o - 1) % o})
             s = cyclotomic.CycloSubgroup(o, members)
             exp = (l - 1) * (n // o)
-            w_sub = cyclotomic.w_group(field, s, bound=bound).subgroup
+            w_sub = cyclotomic.w_group(field, s).subgroup
             sub = sub.product(w_sub.power(exp))
             # tau_count: the phi(o) = o - o/l elements of order o in C(n)
             entries.append(_WFold(s, exp, o - o // l, w_sub))

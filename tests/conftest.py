@@ -2,6 +2,7 @@
 
 import pytest
 
+from steinitzcalc import class_group, cyclotomic
 from steinitzcalc import grouptree as gt
 from steinitzcalc.grouptree import _prime_factors
 
@@ -19,6 +20,19 @@ def sylows_by_order(elems, order_fn):
         l: [x for x in sorted(elems) if _is_l_power(order_fn(x), l)]
         for l in _prime_factors(len(elems))
     }
+
+
+def patch_w_norm_character(monkeypatch, disc, m, wrong):
+    """Make `cyclotomic.w_norm_character` return `wrong(class group)` for
+    every target mod m over the field of discriminant disc."""
+    true_w = cyclotomic.w_norm_character
+
+    def patched(field, s):
+        if field.disc == disc and s.modulus == m:
+            return wrong(class_group(disc))
+        return true_w(field, s)
+
+    monkeypatch.setattr(cyclotomic, "w_norm_character", patched)
 
 
 def c2_leaf():

@@ -12,7 +12,7 @@ import pytest
 import steinitzcalc as sc
 from steinitzcalc import grouptree as gt
 from steinitzcalc import realizable as rz
-from steinitzcalc.cyclotomic import default_initial_bound
+from steinitzcalc.cyclotomic import SOUNDNESS_BOUND
 
 from conftest import ACCEPT_DISCS, CROSS_DISCS, corpus_trees, trivial_leaf
 from table_oracle import is_solvable_a_group, to_multiplication_table
@@ -178,7 +178,7 @@ def test_criterion_06_dihedral_oracle():
     )
 
 
-# -- criterion 7: W stabilization -------------------------------------------------------------
+# -- criterion 7: W verified against primes ---------------------------------------------------
 
 
 def test_criterion_07_w_stabilization():
@@ -190,16 +190,15 @@ def test_criterion_07_w_stabilization():
         for disc, modulus, members in sorted(_W_REGISTRY):
             field = sc.QuadField(disc)
             s = sc.CycloSubgroup(modulus, frozenset(members))
-            bound = default_initial_bound(field, modulus)
-            base = sc.w_group(field, s, bound=bound)
-            rerun = sc.w_group(field, s, bound=4 * bound)
-            assert base.subgroup == rerun.subgroup, (disc, modulus, members)
+            wg = sc.w_group(field, s)
             closed = sc.w_norm_character(field, s)
-            assert closed == base.subgroup, (disc, modulus, members)
+            assert closed == wg.subgroup, (disc, modulus, members)
+            bound = SOUNDNESS_BOUND if closed.group.order > 1 else 0
+            assert wg.certificate.final_bound == bound, (disc, modulus, members)
 
     _criterion(
         7,
-        f"W stabilization under 4x bounds ({len(_W_REGISTRY)} W-groups)",
+        f"W verified against primes ({len(_W_REGISTRY)} W-groups)",
         120,
         run,
     )

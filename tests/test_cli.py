@@ -1,9 +1,12 @@
 """CLI tests: outputs, exit codes, determinism, JSON round-trips."""
 
 import argparse
+import ast
 import functools
+import inspect
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -16,6 +19,8 @@ import pytest
 import steinitzcalc as sc
 from steinitzcalc import _kernels, cli, cyclotomic, grouptree, realizable
 from steinitzcalc.cli import main
+
+from conftest import patch_w_norm_character
 
 
 @pytest.fixture()
@@ -118,12 +123,16 @@ def test_wgroup_bad_subgroup_exit_2(capture):
     assert code == 2 and "closed" in err
 
 
-def test_wgroup_ceiling_exit_3(capture, monkeypatch):
-    # only check's enumeration oracle has a prime ceiling
-    monkeypatch.setenv("STEINITZ_PRIME_CEILING", "50000")
-    code, _, err = capture("check", "--suite", "wgroup", "--disc", "-84")
-    assert code == 3
-    assert "did not stabilize below ceiling 50000" in err
+def test_check_wgroup_fails_on_a_w_too_small(capture, monkeypatch):
+    # a trivial W mod 3 at -84: the ramified primes 7 (S = {1}) and 2
+    # (S = Gal = {1, 2}) have classes outside it
+    patch_w_norm_character(monkeypatch, -84, 3, lambda cg: cg.trivial_subgroup())
+    code, out, _ = capture("check", "--suite", "wgroup", "--disc", "-84")
+    assert code == 4
+    assert "FAIL  wgroup: primes verify W for S = <1> mod 3  [" in out
+    assert "the class of the prime 7 lies outside W" in out
+    assert "the class of the prime 2 lies outside W" in out
+    assert "soundness" not in out
 
 
 def test_steinitz_subcommand(capture):
@@ -401,23 +410,47 @@ def test_check_suites(capture):
     assert "PASS" in out
 
 
-W_CHECK = "wgroup: w_norm_character equals the enumeration for S = {1} and Gal, m = 3, 4, 5, 8"
+W_CHECKS = (
+    "PASS  wgroup: soundness: the class of every qualifying prime below SOUNDNESS_BOUND "
+    "= 16384 lies in W, for W(k, k) and S = {1} and Gal, m = 3, 4, 5, 8\n",
+    "PASS  wgroup: completeness: those classes span each W  [primes scanned below 16384]\n",
+)
 
 
 def test_check_wgroup_compares_the_production_w(capture, monkeypatch):
     # W(k, E) != Cl at -84 for S = {1} mod 3; a genus path that sees no
-    # character returns Cl there, and only the comparison line notices
+    # character returns Cl there, and only the verification against primes
+    # notices: the primes = 1 mod 3 span only index 2, up to any ceiling
     code, out, _ = capture("check", "--suite", "wgroup", "--disc", "-84")
-    assert code == 0 and f"PASS  {W_CHECK}" in out
+    assert code == 0 and all(line in out for line in W_CHECKS)
     sc.class_group.cache_clear()
     monkeypatch.setattr(cyclotomic, "_genus_candidates", lambda disc, m: [])
+    monkeypatch.setattr(cyclotomic, "SPAN_CEILING", 1 << 16)
     try:
         code, out, _ = capture("check", "--suite", "wgroup", "--disc", "-84")
     finally:
         sc.class_group.cache_clear()
     assert code == 4
-    assert f"FAIL  {W_CHECK}" in out
+    fail = "FAIL  wgroup: primes verify W for S = <1> mod 3  ["
+    assert fail in out and "below the ceiling 65536 do not span W" in out
+    assert not any(line in out for line in W_CHECKS)
     assert "PASS  wgroup: monotone in the Frobenius target" in out
+
+
+def test_check_and_rt_dihedral_scan_no_prime_past_the_soundness_bound(capture, monkeypatch):
+    # every W here is spanned by its first window, so no scan goes further
+    his = []
+    scan = _kernels.scan_w_forms
+
+    def recorded(disc, m, members, lo, hi):
+        his.append(hi)
+        return scan(disc, m, members, lo, hi)
+
+    monkeypatch.setattr(_kernels, "scan_w_forms", recorded)
+    code, out, _ = capture("check", "--suite", "all", "--disc", "-2042040")
+    assert code == 0 and "FAIL" not in out
+    realizable.rt_dihedral(sc.QuadField(-84), 15)
+    assert his and max(his) == cyclotomic.SOUNDNESS_BOUND
 
 
 def test_check_classgroup_compares_with_kernel(capture, monkeypatch):
@@ -675,3 +708,24 @@ def test_readme_cli_lines_run(capture, monkeypatch, tmp_path):
             argv[at] = str(tmp_path / Path(argv[at]).name)
         code, _, err = capture(*argv)
         assert code == 0, (line, err)
+
+
+def _documented_exit_codes(path):
+    """The codes named in the sentence of `path` that begins "Exit codes: "."""
+    text = " ".join(path.read_text(encoding="utf-8").split())
+    sentence = text.split("Exit codes: ", 1)[1].split(". ", 1)[0]
+    return {int(code) for code in re.findall(r"\b\d+\b", sentence)}
+
+
+def test_docs_name_the_exit_codes_main_returns():
+    # every integer literal a function of cli returns is an exit code
+    returned = {
+        node.value
+        for ret in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(ret, ast.Return) and ret.value is not None
+        for node in ast.walk(ret.value)
+        if isinstance(node, ast.Constant) and type(node.value) is int
+    }
+    assert returned == {0, 2, 4}
+    for path in (README, README.parent / "docs" / "formats.md"):
+        assert _documented_exit_codes(path) == returned, path

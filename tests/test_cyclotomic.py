@@ -12,22 +12,18 @@ import steinitzcalc as sc
 from steinitzcalc import _kernels, classgroup, cyclotomic
 from steinitzcalc import grouptree as gt
 from steinitzcalc.cyclotomic import (
+    SOUNDNESS_BOUND,
     CycloSubgroup,
-    default_initial_bound,
     galois_group,
     g_k_mu_tau,
     unit_group,
     w_group,
     w_norm_character,
 )
-from steinitzcalc.errors import (
-    EnumerationCeilingError,
-    InadmissibleError,
-    InternalInvariantError,
-)
+from steinitzcalc.errors import InadmissibleError, InternalInvariantError
 from steinitzcalc.grouptree import _prime_factors
 
-from conftest import ACCEPT_DISCS, MIXED_DISCS
+from conftest import ACCEPT_DISCS, MIXED_DISCS, patch_w_norm_character
 from structure_oracle import subgroup_from_members
 
 Q = sc.QuadField(0)
@@ -247,18 +243,21 @@ def test_g_k_mu_tau_raises_on_warm_cache():
     assert g_k_mu_tau(Q, mu, tau).sorted_members() == [1, 2, 4]
 
 
-# -- w_group ------------------------------------------------------------------------
+# -- w_group: the closed form verified against primes --------------------------------
 
 
 def test_w_group_rationals_trivial():
     wg = w_group(Q, CycloSubgroup(5, frozenset([1])))
     assert wg.subgroup.is_trivial() and wg.subgroup.is_full()
+    # a trivial class group needs no prime
+    assert wg.certificate == cyclotomic.WCertificate(0, ())
 
 
 def test_w_group_modulus_one_full():
     wg = w_group(K23, CycloSubgroup(1, frozenset([0])))
     assert wg.subgroup.is_full()
-    assert wg.certificate.qualifying_hits > 0
+    assert wg.certificate.final_bound == SOUNDNESS_BOUND
+    assert wg.certificate.windows[0][:2] == (2, SOUNDNESS_BOUND)
 
 
 def test_w_group_minus23_m3_full():
@@ -274,8 +273,8 @@ def test_w_group_proper_subgroups():
         (1, 0, 21),
         (3, 0, 7),
     ]
-    assert not w84.certificate.full_group_early_exit
-    assert w84.certificate.windows[-1][2] == 0 and w84.certificate.windows[-2][2] == 0
+    assert w84.subgroup.index_in_parent == 2
+    assert w84.certificate.windows == ((2, SOUNDNESS_BOUND, 1),)
     w15 = w_group(K15, CycloSubgroup(5, frozenset([1])))
     assert w15.subgroup.is_trivial()
 
@@ -303,11 +302,13 @@ def test_w_group_full_galois_target_is_full():
         assert wg.subgroup.is_full(), disc
 
 
-def test_w_group_stabilization_bound_invariance():
+def test_w_group_stabilization_bound_invariance(monkeypatch):
+    # a larger soundness bound checks more primes and gives the same W
     s = CycloSubgroup(3, frozenset([1]))
-    base = w_group(K84, s)
-    rerun = w_group(K84, s, bound=4 * base.certificate.initial_bound)
-    assert base.subgroup == rerun.subgroup
+    monkeypatch.setattr(cyclotomic, "SOUNDNESS_BOUND", 4 * SOUNDNESS_BOUND)
+    wg = w_group(K84, s)
+    assert wg.subgroup is w_norm_character(K84, s)
+    assert wg.certificate.windows == ((2, 4 * SOUNDNESS_BOUND, 1),)
 
 
 def test_w_group_bad_subgroup_rejected():
@@ -316,18 +317,23 @@ def test_w_group_bad_subgroup_rejected():
         w_group(sc.QuadField(-3), unit_group(3))
 
 
-def test_w_group_ceiling_error():
-    s = CycloSubgroup(3, frozenset([1]))
-    with pytest.raises(EnumerationCeilingError):
-        w_group(K84, s, bound=100, ceiling=120)
+def test_w_group_rejects_a_w_too_small(monkeypatch):
+    # 7 is the least prime = 1 mod 3 with a degree-1 prime above it in
+    # Q(sqrt(-84)) (it ramifies), and its class (3, 0, 7) is not trivial
+    patch_w_norm_character(monkeypatch, -84, 3, lambda cg: cg.trivial_subgroup())
+    with pytest.raises(InternalInvariantError, match="the class of the prime 7 lies outside W"):
+        w_group(K84, CycloSubgroup(3, frozenset([1])))
 
 
-def test_default_initial_bound_monotone_cap():
-    assert default_initial_bound(K23, 3) >= 100
-    assert default_initial_bound(sc.QuadField(-4999), 45) <= 1_000_000
+def test_w_group_rejects_a_w_too_big(monkeypatch):
+    # primes = 1 mod 3 span only the index-2 kernel of chi_-3, never Cl
+    patch_w_norm_character(monkeypatch, -84, 3, lambda cg: cg.full_subgroup())
+    monkeypatch.setattr(cyclotomic, "SPAN_CEILING", 1 << 16)
+    with pytest.raises(InternalInvariantError, match="below the ceiling 65536 do not span W"):
+        w_group(K84, CycloSubgroup(3, frozenset([1])))
 
 
-# -- w_norm_character: the closed form against the w_group oracle -------------------
+# -- w_norm_character: the closed form verified against primes -----------------------
 
 DIFF_MODULI = (1, 3, 4, 5, 7, 8, 9, 12, 15, 21, 24)
 # Q, the acceptance and mixed fields, and fields with |D| dividing some modulus
@@ -360,13 +366,17 @@ def _cyclo_subgroups(gal):
 
 @pytest.mark.parametrize("disc", DIFF_DISCS)
 def test_w_norm_character_matches_enumeration(disc):
+    # every subgroup S at each modulus: the primes below SOUNDNESS_BOUND lie
+    # in the closed-form W and span it (a trivial class group needs none)
     field = sc.QuadField(disc)
+    bound = SOUNDNESS_BOUND if sc.class_group(disc).order > 1 else 0
     for m in DIFF_MODULI:
         for members in _cyclo_subgroups(galois_group(field, m)):
             s = CycloSubgroup(m, members)
+            wg = w_group(field, s)
             closed = w_norm_character(field, s)
-            oracle = w_group(field, s).subgroup
-            assert closed.members == oracle.members, (disc, m, sorted(members))
+            assert wg.subgroup is closed, (disc, m, sorted(members))
+            assert wg.certificate.final_bound == bound, (disc, m, sorted(members))
             assert closed == sc.subgroup_generate(
                 closed.group, [sc.IdealClass(closed.group, i) for i in closed.generators]
             )

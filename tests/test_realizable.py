@@ -14,7 +14,7 @@ import steinitzcalc as sc
 from steinitzcalc import grouptree as gt
 from steinitzcalc import cli
 from steinitzcalc import realizable as rz
-from steinitzcalc.cyclotomic import default_initial_bound
+from steinitzcalc.cyclotomic import SOUNDNESS_BOUND
 from steinitzcalc.errors import InadmissibleError, TraceMismatchError
 
 from conftest import (
@@ -121,12 +121,16 @@ def test_dihedral_two_paths_agree(disc, n):
 
 
 def test_rt_bound_override_stable():
-    # the closed-form engine against the enumerating D_9 path, scanned from
-    # 4x the largest default initial bound of its moduli 3 and 9
+    # the closed-form engine against the D_9 path, whose W-groups (moduli 3
+    # and 9) are each verified against the primes below SOUNDNESS_BOUND
     base = sc.rt(K84, gt.dihedral_tree(9))
-    bound = 4 * max(default_initial_bound(K84, o) for o in (3, 9))
-    bigger = rz.rt_dihedral(K84, 9, bound=bound)
-    assert base.subgroup == bigger.subgroup
+    verified = rz.rt_dihedral(K84, 9)
+    assert base.subgroup == verified.subgroup
+    for fold in verified.trace["node"]["w_factors"]:
+        s = sc.CycloSubgroup(fold["modulus"], frozenset(fold["frobenius_subgroup"]))
+        wg = sc.w_group(K84, s)
+        assert wg.subgroup == sc.w_norm_character(K84, s)
+        assert wg.certificate.final_bound == SOUNDNESS_BOUND
 
 
 def test_rt_subgroup_closure_on_corpus():
