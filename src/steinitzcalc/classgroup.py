@@ -13,15 +13,14 @@ from __future__ import annotations
 import enum
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from typing import NamedTuple
+from operator import itemgetter
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _is_prime, _l_part, _prime_factors
+from .grouptree import Value, _is_prime, _l_part, _prime_factors
 
 # Class groups are held in full: a packed sorted key per reduced form (lookups
 # bisect them), a code per class whose digits are its coordinates, and a table
@@ -57,24 +56,23 @@ def is_fundamental(disc: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(Value):
     """Q (disc == 0) or the imaginary quadratic field of discriminant disc."""
 
-    disc: int
+    __slots__ = ("disc",)
 
-    def __post_init__(self):
-        if self.disc == 0:
-            return
-        # the cap first: is_fundamental trial-divides up to sqrt|D|
-        if -self.disc > MAX_ABS_DISC:
-            raise InadmissibleError(
-                f"|disc| = {-self.disc} exceeds the supported cap {MAX_ABS_DISC}"
-            )
-        if not is_fundamental(self.disc):
-            raise InadmissibleError(
-                f"{self.disc} is not a fundamental discriminant < 0 (use 0 for Q)"
-            )
+    def __init__(self, disc: int):
+        if disc != 0:
+            # the cap first: is_fundamental trial-divides up to sqrt|D|
+            if -disc > MAX_ABS_DISC:
+                raise InadmissibleError(
+                    f"|disc| = {-disc} exceeds the supported cap {MAX_ABS_DISC}"
+                )
+            if not is_fundamental(disc):
+                raise InadmissibleError(
+                    f"{disc} is not a fundamental discriminant < 0 (use 0 for Q)"
+                )
+        self._freeze(disc)
 
     @property
     def is_rationals(self) -> bool:
@@ -87,10 +85,24 @@ class QuadField:
         return "Q" if self.is_rationals else f"Q(sqrt({self.disc}))"
 
 
-class QuadForm(NamedTuple):
-    a: int
-    b: int
-    c: int
+class QuadForm(tuple):
+    """The form a x^2 + b xy + c y^2: the tuple (a, b, c), with its entries
+    also named."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        return tuple.__new__(cls, (a, b, c))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"QuadForm(a={self[0]!r}, b={self[1]!r}, c={self[2]!r})"
 
     @property
     def disc(self) -> int:
@@ -541,14 +553,13 @@ def class_group(disc: int) -> ClassGroup:
     return ClassGroup(disc)
 
 
-@dataclass(frozen=True)
-class IdealClass:
-    group: ClassGroup
-    index: int
+class IdealClass(Value):
+    __slots__ = ("group", "index")
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.group.order:
-            raise InadmissibleError(f"class index {self.index} out of range")
+    def __init__(self, group: ClassGroup, index: int):
+        if not 0 <= index < group.order:
+            raise InadmissibleError(f"class index {index} out of range")
+        self._freeze(group, index)
 
     @property
     def form(self) -> QuadForm:

@@ -28,7 +28,6 @@ wgroup`, `realizable.rt_dihedral` and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -42,7 +41,7 @@ from .classgroup import (
     class_group,
 )
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _prime_factors
+from .grouptree import Value, _prime_factors
 
 # `w_group`'s prime bounds: see its docstring.
 SOUNDNESS_BOUND = 1 << 14
@@ -56,20 +55,17 @@ MAX_MODULUS = 1000
 _MODULUS_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class CycloSubgroup:
+class CycloSubgroup(Value):
     """A subgroup of (Z/mZ)*, given by its sorted member set: units mod m,
     closed under products, so closed under a^-1 = a^(ord(a) - 1) too."""
 
-    modulus: int
-    members: frozenset
+    __slots__ = ("modulus", "members")
 
-    def __post_init__(self):
-        m = self.modulus
+    def __init__(self, modulus: int, members: frozenset):
+        m = modulus
         if m < 1:
             raise InadmissibleError(f"modulus {m} < 1")
-        mem = frozenset(int(a) % m for a in self.members)
-        object.__setattr__(self, "members", mem)
+        mem = frozenset(int(a) % m for a in members)
         if 1 % m not in mem:
             raise InadmissibleError("subgroup must contain 1")
         for a in mem:
@@ -93,6 +89,7 @@ class CycloSubgroup:
             while step not in reached:
                 reached.update(x * step % m for x in base)
                 step = step * g % m
+        self._freeze(modulus, mem)
 
     @property
     def order(self) -> int:
@@ -265,21 +262,22 @@ def w_norm_character(field: QuadField, s: CycloSubgroup) -> ClassSubgroup:
     return w
 
 
-@dataclass(frozen=True)
-class WCertificate:
+class WCertificate(Value):
     """The primes that verified one W: `final_bound` is the last bound
     scanned, and `windows` holds (lo, hi, new_generators) per scanned chunk
     [lo, hi)."""
 
-    final_bound: int
-    windows: tuple
+    __slots__ = ("final_bound", "windows")
+
+    def __init__(self, final_bound: int, windows: tuple):
+        self._freeze(final_bound, windows)
 
 
-@dataclass(frozen=True)
-class WGroup:
-    subgroup: ClassSubgroup
-    descriptor: CycloSubgroup
-    certificate: WCertificate
+class WGroup(Value):
+    __slots__ = ("subgroup", "descriptor", "certificate")
+
+    def __init__(self, subgroup: ClassSubgroup, descriptor: CycloSubgroup, certificate: WCertificate):
+        self._freeze(subgroup, descriptor, certificate)
 
 
 def _outside(field: QuadField, s: CycloSubgroup, w: ClassSubgroup, lo: int, hi: int) -> int:

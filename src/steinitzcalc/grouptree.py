@@ -19,13 +19,69 @@ flat integer coordinates of the spec format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InadmissibleError
 
 ENUMERATION_CAP = 100_000
+# The most nodes on a path from the root of a group spec to a leaf.  Trees
+# are walked recursively, a few frames a level when an answer's
+# trace is written or replayed, so a cap far below the interpreter's
+# recursion limit keeps every deeper spec an input error, not a crash.
+MAX_TREE_DEPTH = 100
+
+
+# -- immutable value classes ----------------------------------------------------
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in `__slots__`, in constructor order, and its
+    `__init__` sets them once with `_freeze`.  Instances are equal when they
+    have the same class and equal fields, hash as the tuple of their fields
+    (computed once: trees, actions and Frobenius targets are cache keys),
+    print as `Name(field=value, ...)` and refuse assignment.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            # the fields, read in C: equality runs on every cache-key match
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # -- integer helpers, also used by classgroup, steinitz and realizable ----------
@@ -73,23 +129,23 @@ def _is_prime(n: int) -> bool:
 # -- abelian groups and their elements ----------------------------------------
 
 
-@dataclass(frozen=True)
-class AbElement:
-    coords: tuple
+class AbElement(Value):
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        self._freeze(coords)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """C(n_1) x ... x C(n_r) with n_{i+1} | n_i, each n_i >= 2."""
 
-    invariant_factors: tuple
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        fac = tuple(int(n) for n in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fac)
+    def __init__(self, invariant_factors: tuple):
+        fac = tuple(int(n) for n in invariant_factors)
         # empty factor list encodes the trivial group
         for n in fac:
             if n < 2:
@@ -99,6 +155,7 @@ class AbelianGroup:
                 raise InadmissibleError(
                     f"invariant factors {fac} violate the divisibility chain"
                 )
+        self._freeze(fac)
 
     @property
     def order(self) -> int:
@@ -332,53 +389,52 @@ def _check_automorphism(mat, h: AbelianGroup, g_el):
 # -- tree nodes ----------------------------------------------------------------
 
 
-class GroupTree:
-    pass
+class GroupTree(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AbelianLeaf(GroupTree):
-    group: AbelianGroup
+    __slots__ = ("group",)
+
+    def __init__(self, group: AbelianGroup):
+        self._freeze(group)
 
     def __str__(self):
         return str(self.group)
 
 
-@dataclass(frozen=True)
 class Semidirect(GroupTree):
-    h: AbelianGroup
-    g: GroupTree
-    mu: Action
+    __slots__ = ("h", "g", "mu")
 
-    def __post_init__(self):
-        if self.h.order % 2 == 0:
+    def __init__(self, h: AbelianGroup, g: GroupTree, mu: Action):
+        if h.order % 2 == 0:
             raise InadmissibleError(
-                f"semidirect kernel must have odd order, got |H| = {self.h.order}"
+                f"semidirect kernel must have odd order, got |H| = {h.order}"
             )
-        if gcd(self.h.order, order(self.g)) != 1:
+        if gcd(h.order, order(g)) != 1:
             raise InadmissibleError(
-                f"|H| = {self.h.order} and |G| = {order(self.g)} are not coprime"
+                f"|H| = {h.order} and |G| = {order(g)} are not coprime"
             )
-        if self.mu.h != self.h or self.mu.g_tree != self.g:
+        if mu.h != h or mu.g_tree != g:
             raise InadmissibleError("action does not match the semidirect factors")
+        self._freeze(h, g, mu)
 
     def __str__(self):
         return f"({self.h}) x| ({self.g})"
 
 
-@dataclass(frozen=True)
 class Direct(GroupTree):
-    left: GroupTree
-    right: GroupTree
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        lo, ro = order(self.left), order(self.right)
+    def __init__(self, left: GroupTree, right: GroupTree):
+        lo, ro = order(left), order(right)
         if lo % 2 == 0 and ro % 2 == 0:
-            if two_sylow_cyclic(self.left) or two_sylow_cyclic(self.right):
+            if two_sylow_cyclic(left) or two_sylow_cyclic(right):
                 raise InadmissibleError(
                     "direct product of two even-order factors needs both "
                     "2-Sylow subgroups noncyclic"
                 )
+        self._freeze(left, right)
 
     def __str__(self):
         return f"({self.left}) x ({self.right})"
@@ -530,7 +586,7 @@ def _unflatten(tree, flat):
 # -- JSON group-spec files -------------------------------------------------------
 
 
-def tree_from_spec(obj) -> GroupTree:
+def tree_from_spec(obj, depth: int = 1) -> GroupTree:
     """Build a tree from the JSON group-spec object format.
 
     {"kind":"abelian","invariant_factors":[n1,...]}
@@ -538,10 +594,16 @@ def tree_from_spec(obj) -> GroupTree:
      "action":{"on_generators":[{"g_element":[...],"matrix":[[...],...]}]}}
     {"kind":"direct","left":{...},"right":{...}}
 
-    A missing key, a node or entry of the wrong JSON type, or an invariant
-    factor, matrix entry or g_element entry that is not a JSON integer
-    raises InadmissibleError.
+    A missing key, a node or entry of the wrong JSON type, an invariant
+    factor, matrix entry or g_element entry that is not a JSON integer, or
+    a tree node more than MAX_TREE_DEPTH nodes from the root raises
+    InadmissibleError.  `depth` is obj's depth in the whole spec (the root
+    is 1).
     """
+    if depth > MAX_TREE_DEPTH:
+        raise InadmissibleError(
+            f"group spec nests deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH} nodes"
+        )
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InadmissibleError("group spec node must be an object with a 'kind'")
     kind = obj["kind"]
@@ -552,7 +614,7 @@ def tree_from_spec(obj) -> GroupTree:
         if not isinstance(h_obj, dict) or h_obj.get("kind") != "abelian":
             raise InadmissibleError("semidirect 'h' must be an abelian node")
         h = _spec_abelian(h_obj)
-        g_tree = tree_from_spec(_spec_key(obj, "g", kind))
+        g_tree = tree_from_spec(_spec_key(obj, "g", kind), depth + 1)
         try:
             spec_pairs = obj["action"]["on_generators"]
         except (KeyError, TypeError):
@@ -568,8 +630,8 @@ def tree_from_spec(obj) -> GroupTree:
         return semidirect(h, g_tree, pairs)
     if kind == "direct":
         return Direct(
-            tree_from_spec(_spec_key(obj, "left", kind)),
-            tree_from_spec(_spec_key(obj, "right", kind)),
+            tree_from_spec(_spec_key(obj, "left", kind), depth + 1),
+            tree_from_spec(_spec_key(obj, "right", kind), depth + 1),
         )
     raise InadmissibleError(f"unknown group spec kind {kind!r}")
 

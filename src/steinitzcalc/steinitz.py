@@ -17,7 +17,6 @@ that spot; both are exposed side by side and nothing is silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .classgroup import (
@@ -29,7 +28,7 @@ from .classgroup import (
     splitting,
 )
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import _is_prime, _l_part as l_part, _prime_factors
+from .grouptree import Value, _is_prime, _l_part as l_part, _prime_factors
 
 
 def discriminant_exponent(e: int, n: int) -> int:
@@ -40,22 +39,18 @@ def discriminant_exponent(e: int, n: int) -> int:
     return (e - 1) * (n // e)
 
 
-@dataclass(frozen=True)
-class RamificationDatum:
+class RamificationDatum(Value):
     """A rational prime with a chosen degree-1 prime above it (conjugate
     selects the other one) and a tame ramification index."""
 
-    p: int
-    e: int
-    conjugate: bool = False
+    __slots__ = ("p", "e", "conjugate")
 
-    def __post_init__(self):
-        if self.e < 2:
-            raise InadmissibleError(f"ramification index {self.e} < 2")
-        if gcd(self.e, self.p) != 1:
-            raise InadmissibleError(
-                f"e={self.e} not coprime to p={self.p}: ramification is wild"
-            )
+    def __init__(self, p: int, e: int, conjugate: bool = False):
+        if e < 2:
+            raise InadmissibleError(f"ramification index {e} < 2")
+        if gcd(e, p) != 1:
+            raise InadmissibleError(f"e={e} not coprime to p={p}: ramification is wild")
+        self._freeze(p, e, conjugate)
 
 
 def steinitz_from_ramification(

@@ -17,7 +17,7 @@ from time import perf_counter
 import pytest
 
 import steinitzcalc as sc
-from steinitzcalc import _kernels, cli, cyclotomic, grouptree, realizable
+from steinitzcalc import _kernels, check, cli, cyclotomic, grouptree, realizable
 from steinitzcalc.cli import main
 
 from conftest import patch_w_norm_character
@@ -685,6 +685,35 @@ def test_rt_malformed_group_spec_exit_2(capture, tmp_path, text):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def _direct_chain(depth):
+    """JSON text of C(3) x (C(3) x (...)): `depth` nodes from root to the
+    deepest leaf, written without json.dumps, whose encoder recurses."""
+    leaf = '{"kind": "abelian", "invariant_factors": [3]}'
+    return '{"kind": "direct", "left": ' * (depth - 1) + leaf + (', "right": ' + leaf + "}") * (depth - 1)
+
+
+@pytest.mark.parametrize(
+    "depth, code",
+    [(grouptree.MAX_TREE_DEPTH, 0), (grouptree.MAX_TREE_DEPTH + 1, 2), (1500, 2)],
+)
+def test_deep_group_spec_answers_to_the_cap_and_exits_2_past_it(tmp_path, depth, code):
+    # a subprocess, so that the interpreter's own recursion limit applies
+    path = tmp_path / "deep.json"
+    path.write_text(_direct_chain(depth))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinitzcalc.cli", "rt", "--disc", "-84", "--group", str(path),
+         "--trace", str(tmp_path / "trace.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("R_t: order 2 of 4")
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert "MAX_TREE_DEPTH" in proc.stderr or "nested too deeply" in proc.stderr
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -718,10 +747,12 @@ def _documented_exit_codes(path):
 
 
 def test_docs_name_the_exit_codes_main_returns():
-    # every integer literal a function of cli returns is an exit code
+    # every integer literal a function of cli or of the check suites returns
+    # is an exit code
     returned = {
         node.value
-        for ret in ast.walk(ast.parse(inspect.getsource(cli)))
+        for module in (cli, check)
+        for ret in ast.walk(ast.parse(inspect.getsource(module)))
         if isinstance(ret, ast.Return) and ret.value is not None
         for node in ast.walk(ret.value)
         if isinstance(node, ast.Constant) and type(node.value) is int

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from steinitzcalc import _kernels
 from steinitzcalc.classgroup import is_fundamental
-from steinitzcalc.cli import _count_reduced_forms_divisor_oracle
+from steinitzcalc.check import _count_reduced_forms_divisor_oracle
 
 
 def _naive_primes(lo, hi):
