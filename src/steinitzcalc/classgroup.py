@@ -13,14 +13,14 @@ from __future__ import annotations
 import enum
 import struct
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter
 
 from . import _kernels
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import Value, _is_prime, _l_part, _prime_factors
+from .grouptree import Value, _set, _is_prime, _l_part, _prime_factors
 
 # Class groups are held in full: a packed sorted key per reduced form (lookups
 # bisect them), a code per class whose digits are its coordinates, and a table
@@ -72,7 +72,7 @@ class QuadField(Value):
                 raise InadmissibleError(
                     f"{disc} is not a fundamental discriminant < 0 (use 0 for Q)"
                 )
-        self._freeze(disc)
+        _set(self, "disc", disc)
 
     @property
     def is_rationals(self) -> bool:
@@ -85,24 +85,10 @@ class QuadField(Value):
         return "Q" if self.is_rationals else f"Q(sqrt({self.disc}))"
 
 
-class QuadForm(tuple):
-    """The form a x^2 + b xy + c y^2: the tuple (a, b, c), with its entries
-    also named."""
+class QuadForm(namedtuple("QuadForm", "a b c")):
+    """The form a x^2 + b xy + c y^2."""
 
     __slots__ = ()
-
-    def __new__(cls, a: int, b: int, c: int):
-        return tuple.__new__(cls, (a, b, c))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    a = property(itemgetter(0))
-    b = property(itemgetter(1))
-    c = property(itemgetter(2))
-
-    def __repr__(self):
-        return f"QuadForm(a={self[0]!r}, b={self[1]!r}, c={self[2]!r})"
 
     @property
     def disc(self) -> int:
@@ -559,7 +545,8 @@ class IdealClass(Value):
     def __init__(self, group: ClassGroup, index: int):
         if not 0 <= index < group.order:
             raise InadmissibleError(f"class index {index} out of range")
-        self._freeze(group, index)
+        _set(self, "group", group)
+        _set(self, "index", index)
 
     @property
     def form(self) -> QuadForm:

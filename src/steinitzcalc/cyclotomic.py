@@ -41,7 +41,7 @@ from .classgroup import (
     class_group,
 )
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import Value, _prime_factors
+from .grouptree import Value, _set, _prime_factors
 
 # `w_group`'s prime bounds: see its docstring.
 SOUNDNESS_BOUND = 1 << 14
@@ -89,7 +89,8 @@ class CycloSubgroup(Value):
             while step not in reached:
                 reached.update(x * step % m for x in base)
                 step = step * g % m
-        self._freeze(modulus, mem)
+        _set(self, "modulus", modulus)
+        _set(self, "members", mem)
 
     @property
     def order(self) -> int:
@@ -270,14 +271,17 @@ class WCertificate(Value):
     __slots__ = ("final_bound", "windows")
 
     def __init__(self, final_bound: int, windows: tuple):
-        self._freeze(final_bound, windows)
+        _set(self, "final_bound", final_bound)
+        _set(self, "windows", windows)
 
 
 class WGroup(Value):
     __slots__ = ("subgroup", "descriptor", "certificate")
 
     def __init__(self, subgroup: ClassSubgroup, descriptor: CycloSubgroup, certificate: WCertificate):
-        self._freeze(subgroup, descriptor, certificate)
+        _set(self, "subgroup", subgroup)
+        _set(self, "descriptor", descriptor)
+        _set(self, "certificate", certificate)
 
 
 def _outside(field: QuadField, s: CycloSubgroup, w: ClassSubgroup, lo: int, hi: int) -> int:

@@ -35,15 +35,19 @@ MAX_TREE_DEPTH = 100
 
 # -- immutable value classes ----------------------------------------------------
 
+# Sets a field of a Value, past its refusing __setattr__; only __init__ calls it.
+_set = object.__setattr__
+
 
 class Value:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in `__slots__`, in constructor order, and its
-    `__init__` sets them once with `_freeze`.  Instances are equal when they
-    have the same class and equal fields, hash as the tuple of their fields
-    (computed once: trees, actions and Frobenius targets are cache keys),
-    print as `Name(field=value, ...)` and refuse assignment.
+    `__init__` sets each once with `_set`.  Instances are equal when they
+    have the same class and equal fields, hash as the tuple of their fields,
+    print as `Name(field=value, ...)` and refuse assignment.  The hash is
+    computed on first use and kept: trees, actions and Frobenius targets
+    are cache keys, while most values built for a query are never hashed.
     """
 
     __slots__ = ("_hash",)
@@ -54,11 +58,6 @@ class Value:
             # the fields, read in C: equality runs on every cache-key match
             cls._fields = attrgetter(*cls.__slots__)
 
-    def _freeze(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash(values))
-
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -68,7 +67,11 @@ class Value:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            _set(self, "_hash", hash(self._values()))
+            return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,7 +136,7 @@ class AbElement(Value):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple):
-        self._freeze(coords)
+        _set(self, "coords", coords)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -155,7 +158,7 @@ class AbelianGroup(Value):
                 raise InadmissibleError(
                     f"invariant factors {fac} violate the divisibility chain"
                 )
-        self._freeze(fac)
+        _set(self, "invariant_factors", fac)
 
     @property
     def order(self) -> int:
@@ -397,7 +400,7 @@ class AbelianLeaf(GroupTree):
     __slots__ = ("group",)
 
     def __init__(self, group: AbelianGroup):
-        self._freeze(group)
+        _set(self, "group", group)
 
     def __str__(self):
         return str(self.group)
@@ -417,7 +420,9 @@ class Semidirect(GroupTree):
             )
         if mu.h != h or mu.g_tree != g:
             raise InadmissibleError("action does not match the semidirect factors")
-        self._freeze(h, g, mu)
+        _set(self, "h", h)
+        _set(self, "g", g)
+        _set(self, "mu", mu)
 
     def __str__(self):
         return f"({self.h}) x| ({self.g})"
@@ -434,7 +439,8 @@ class Direct(GroupTree):
                     "direct product of two even-order factors needs both "
                     "2-Sylow subgroups noncyclic"
                 )
-        self._freeze(left, right)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self):
         return f"({self.left}) x ({self.right})"
@@ -586,7 +592,7 @@ def _unflatten(tree, flat):
 # -- JSON group-spec files -------------------------------------------------------
 
 
-def tree_from_spec(obj, depth: int = 1) -> GroupTree:
+def tree_from_spec(obj) -> GroupTree:
     """Build a tree from the JSON group-spec object format.
 
     {"kind":"abelian","invariant_factors":[n1,...]}
@@ -597,9 +603,14 @@ def tree_from_spec(obj, depth: int = 1) -> GroupTree:
     A missing key, a node or entry of the wrong JSON type, an invariant
     factor, matrix entry or g_element entry that is not a JSON integer, or
     a tree node more than MAX_TREE_DEPTH nodes from the root raises
-    InadmissibleError.  `depth` is obj's depth in the whole spec (the root
-    is 1).
+    InadmissibleError.
     """
+    return _tree_from_spec(obj, 1)
+
+
+def _tree_from_spec(obj, depth: int) -> GroupTree:
+    """tree_from_spec for a node `depth` nodes from the spec's root (the
+    root is 1)."""
     if depth > MAX_TREE_DEPTH:
         raise InadmissibleError(
             f"group spec nests deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH} nodes"
@@ -614,7 +625,7 @@ def tree_from_spec(obj, depth: int = 1) -> GroupTree:
         if not isinstance(h_obj, dict) or h_obj.get("kind") != "abelian":
             raise InadmissibleError("semidirect 'h' must be an abelian node")
         h = _spec_abelian(h_obj)
-        g_tree = tree_from_spec(_spec_key(obj, "g", kind), depth + 1)
+        g_tree = _tree_from_spec(_spec_key(obj, "g", kind), depth + 1)
         try:
             spec_pairs = obj["action"]["on_generators"]
         except (KeyError, TypeError):
@@ -630,8 +641,8 @@ def tree_from_spec(obj, depth: int = 1) -> GroupTree:
         return semidirect(h, g_tree, pairs)
     if kind == "direct":
         return Direct(
-            tree_from_spec(_spec_key(obj, "left", kind), depth + 1),
-            tree_from_spec(_spec_key(obj, "right", kind), depth + 1),
+            _tree_from_spec(_spec_key(obj, "left", kind), depth + 1),
+            _tree_from_spec(_spec_key(obj, "right", kind), depth + 1),
         )
     raise InadmissibleError(f"unknown group spec kind {kind!r}")
 

@@ -28,7 +28,7 @@ from .classgroup import (
     splitting,
 )
 from .errors import InadmissibleError, InternalInvariantError
-from .grouptree import Value, _is_prime, _l_part as l_part, _prime_factors
+from .grouptree import Value, _set, _is_prime, _l_part as l_part, _prime_factors
 
 
 def discriminant_exponent(e: int, n: int) -> int:
@@ -50,7 +50,9 @@ class RamificationDatum(Value):
             raise InadmissibleError(f"ramification index {e} < 2")
         if gcd(e, p) != 1:
             raise InadmissibleError(f"e={e} not coprime to p={p}: ramification is wild")
-        self._freeze(p, e, conjugate)
+        _set(self, "p", p)
+        _set(self, "e", e)
+        _set(self, "conjugate", conjugate)
 
 
 def steinitz_from_ramification(

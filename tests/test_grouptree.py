@@ -371,3 +371,19 @@ def test_spec_errors():
                 "action": {"on_generators": [{"g_element": [1, 1], "matrix": [[-1]]}]},
             }
         )
+
+
+def _direct_chain_spec(depth):
+    """C(3) x (C(3) x (...)) with `depth` nodes from the root to the deepest leaf."""
+    spec = {"kind": "abelian", "invariant_factors": [3]}
+    for _ in range(depth - 1):
+        spec = {"kind": "direct", "left": spec, "right": {"kind": "abelian", "invariant_factors": [3]}}
+    return spec
+
+
+def test_spec_depth_cap_holds_for_every_library_caller():
+    assert gt.order(gt.tree_from_spec(_direct_chain_spec(gt.MAX_TREE_DEPTH))) == 3**gt.MAX_TREE_DEPTH
+    with pytest.raises(InadmissibleError, match="MAX_TREE_DEPTH"):
+        gt.tree_from_spec(_direct_chain_spec(gt.MAX_TREE_DEPTH + 1))
+    with pytest.raises(TypeError):  # no argument lets a caller start below the root
+        gt.tree_from_spec(_direct_chain_spec(gt.MAX_TREE_DEPTH + 1), -10**6)

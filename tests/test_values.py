@@ -100,6 +100,7 @@ def test_equality_and_hash_follow_the_field_tuple(name):
     twin = type(x)(*values)
     assert twin is not x and twin == x and not twin != x
     assert hash(x) == hash(twin) == hash(values)
+    assert x._hash == hash(values)  # computed by the first hash and kept
     assert x != other and hash(other) == hash(other._values())
     # another class with the same fields is never equal
     assert x.__eq__(values) is NotImplemented and x != values
@@ -157,6 +158,9 @@ def test_quad_form_is_the_tuple_a_b_c():
     assert repr(f) == "QuadForm(a=1, b=1, c=6)" and str(f) == "(1,1,6)"
     assert f.disc == -23 and f.is_primitive
     assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(f) == f
+    assert type(pickle.loads(pickle.dumps(f))) is QuadForm
+    assert f._replace(a=2) == QuadForm(2, 1, 6) and type(f._replace(a=2)) is QuadForm
+    assert f._asdict() == {"a": 1, "b": 1, "c": 6} and QuadForm._make((1, 1, 6)) == f
     with pytest.raises(AttributeError):
         f.a = 2
 
