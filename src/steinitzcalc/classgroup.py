@@ -15,7 +15,6 @@ import struct
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 from . import _kernels
@@ -24,8 +23,8 @@ from .grouptree import Value, _set, _is_prime, _l_part, _prime_factors
 
 # Class groups are held in full: a packed sorted key per reduced form (lookups
 # bisect them), a code per class whose digits are its coordinates, and a table
-# of fewer than 2^k * h entries.  Beyond this cap callers get a loud error; it
-# stays until the walk's time and memory above it have been measured.
+# of fewer than 2^k * h entries, 4 bytes each.  Beyond this cap callers get a
+# loud error; it stays until the walk's time above it has been measured.
 MAX_ABS_DISC = 10_000_000
 
 
@@ -150,8 +149,9 @@ class ClassGroup:
     """The ideal class group of a QuadField, every class held in full.
 
     Elements are indices into the sorted reduced forms.  Each class keeps
-    only its form's key a*span + b (`_keys`, packed 8 bytes each; c follows
-    from a, b and D) and its code.  `form(i)` decodes one class and
+    only its form's key a*span + b (`_keys`; c follows from a, b and D) and
+    its code, in packed buffers with no Python object per class (about 19
+    bytes per class with the table).  `form(i)` decodes one class and
     `index_of` bisects the keys; `forms`, every form, is decoded on first
     read, by listings only (traces, `check`).  One walk over the prime forms
     (`_dlog_table`) gives the keys and a code per index, whose digits
@@ -234,16 +234,14 @@ class ClassGroup:
     def order_of_idx(self, i: int) -> int:
         return lcm(*[d // gcd(x, d) for x, d in zip(self._coords(i), self._dlog[2])])
 
-    @cached_property
-    def _sylows(self):
-        """{l: sorted indices of the Sylow l-subgroup} for the primes l | h:
-        the classes whose coordinate t is a multiple of d_t / l^v_l(d_t)."""
-        _, lut, moduli, weights = self._dlog
-        out = {}
-        for l in _prime_factors(self.order):
-            steps = [range(0, d * w, d // _l_part(d, l) * w) for d, w in zip(moduli, weights)]
-            out[l] = sorted(lut[sum(c)] for c in product(*steps))
-        return out
+    def _sylow(self, hnf, l: int) -> list:
+        """The sorted member indices of the Sylow l-subgroup of the lattice
+        `hnf`: the points of the lattice spanned by its rows times m, its
+        order with the factors l removed."""
+        moduli = self._dlog[2]
+        m = _lattice_order(moduli, hnf)
+        m //= _l_part(m, l)
+        return sorted(self._points(_hnf(moduli, [[m * x for x in row] for row in hnf])))
 
     def _coords(self, i: int) -> tuple:
         """The coordinates of index i: the mixed-radix digits of its code."""
@@ -264,59 +262,49 @@ class ClassGroup:
         """(invariant_factors, generator_indices) of the subgroup with
         lattice `hnf`, memoized in `_structures`.
 
-        Works prime by prime, on the members of `hnf` in the parent's Sylow
-        list `_sylows[l]`.  A basis of each Sylow subgroup is found by
-        repeatedly taking its first member x of largest order q modulo the
-        span so far and lifting x to x*s, for the first s in the span with
-        x*s of exact order q (such a lift exists because the span is a
-        direct summand at every step).  The span is a lattice inside `hnf`.
-        q is the exponent of Sylow/span, the least l^j with l^j*m*r in the
-        span for every row r of `hnf` (m = order / l-part: those scaled rows
-        generate the Sylow lattice), so x is the first member with x^(q/l)
-        outside the span.  The span's size is the product of the q's found
-        so far, since each new basis element meets the span only in the
-        identity.  Both scans restart at the front of the Sylow list, so
-        each member's coordinates are decoded on its first visit and kept
-        for the rest of the call.  The per-prime bases are then merged into
-        an invariant-factor chain, largest factor first."""
+        Works prime by prime on the subgroup's Sylow l-subgroup, of order
+        n.  A basis is found greedily on its sorted members (`_sylow`), the
+        span so far kept as a set of indices: repeatedly take the first
+        member x of largest order q modulo the span and lift x to x*s, for
+        the first s in the span with x*s of exact order q (such a lift
+        exists because the span is a direct summand at every step).  q is
+        the exponent of Sylow/span, the least l^j that takes each generator
+        of the Sylow subgroup (the rows of `hnf` times order / n) into the
+        span; it divides n / size, so the search for it stops there.  The
+        span's size is the product of the q's found so far, since each new
+        basis element meets the span only in the identity.  The
+        per-prime bases are then merged into an invariant-factor chain,
+        largest factor first."""
         if hnf in self._structures:
             return self._structures[hnf]
+        compose, power = self.compose_idx, self.pow_idx
         coords, moduli = self._coords, self._dlog[2]
         order = _lattice_order(moduli, hnf)
 
-        def scan(sylow, decoded):
-            """(x, coordinates of x) for x in `sylow`, in order; each member
-            is decoded on its first visit and kept in `decoded`."""
-            for i, x in enumerate(sylow):
-                if i == len(decoded):
-                    decoded.append((x, coords(x)))
-                yield decoded[i]
-
         per_prime = []  # [(order, generator_index), ...] descending, per prime
         for l in _prime_factors(order):
-            sylow, n, decoded = self._sylows[l], _l_part(order, l), []
-            rows = [[order // n * x for x in row] for row in hnf]
-            span, size, basis = _hnf(moduli, ()), 1, []
+            n = _l_part(order, l)
+            sylow = self._sylow(hnf, l)
+            gens = [self._at([order // n * x for x in row]) for row in hnf]
+            span, size, basis = {self.principal_index}, 1, []
             while size < n:
                 q = l
-                while not all(_in_lattice(span, [q * x for x in r]) for r in rows):
+                while q < n // size and any(power(g, q) not in span for g in gens):
                     q *= l
-                e = q // l
-                x = next(
-                    x for x, c in scan(sylow, decoded)
-                    if _in_lattice(hnf, c) and not _in_lattice(span, [e * v for v in c])
-                )
-                for s, c in scan(sylow, decoded):
-                    if _in_lattice(span, c):
-                        y = self.compose_idx(x, s)
-                        if self.order_of_idx(y) == q:
-                            break
+                x = next((x for x in sylow if power(x, q // l) not in span), None)
+                if x is None:
+                    raise InternalInvariantError("no Sylow member of order q modulo the span")
+                for s in sorted(span):
+                    y = compose(x, s)
+                    if self.order_of_idx(y) == q:
+                        break
                 else:
                     raise InternalInvariantError("no exact-order lift in coset")
                 basis.append((q, y))
                 size *= q
                 if size < n:
-                    span = _hnf(moduli, span + (coords(y),))
+                    ys = [power(y, e) for e in range(q)]
+                    span = {compose(s, z) for s in span for z in ys}
             per_prime.append(basis)
 
         factors, gens = [], []
@@ -326,7 +314,7 @@ class ClassGroup:
                 if i < len(basis):
                     o, x = basis[i]
                     d *= o
-                    g = self.compose_idx(g, x)
+                    g = compose(g, x)
             factors.append(d)
             gens.append(g)
 
@@ -337,12 +325,17 @@ class ClassGroup:
         return structure
 
     def _members_of(self, hnf) -> frozenset:
-        """The member indices of the lattice `hnf`, memoized in `_members`:
-        the lattice points c_1*row_1 + ... + c_k*row_k with 0 <= c_t <
-        d_t / h_t, one per member."""
+        """The member indices of the lattice `hnf` (`_points`), memoized in
+        `_members`."""
         members = self._members.get(hnf)
-        if members is not None:
-            return members
+        if members is None:
+            members = self._members[hnf] = frozenset(self._points(hnf))
+        return members
+
+    def _points(self, hnf) -> list:
+        """The member indices of the lattice `hnf`: the points
+        c_1*row_1 + ... + c_k*row_k with 0 <= c_t < d_t / h_t, one per
+        member."""
         codes, lut, moduli, _ = self._dlog
         points = [0]  # codes of the points so far
         for t, row in enumerate(hnf):
@@ -351,8 +344,7 @@ class ClassGroup:
             for _ in range(moduli[t] // row[t] - 1):
                 multiples.append(codes[lut[multiples[-1] + step]])
             points = [codes[lut[a + b]] for a in points for b in multiples]
-        members = self._members[hnf] = frozenset([lut[a] for a in points])
-        return members
+        return [lut[a] for a in points]
 
     @cached_property
     def _full(self):
@@ -397,32 +389,38 @@ class ClassGroup:
 def _dlog_table(disc: int):
     """(keys, (codes, lut, moduli, weights)) of discriminant disc: the sorted
     keys a * span + b of the reduced forms (span = 2 * isqrt(|D| // 3) + 1,
-    so keys sort as the forms do), packed 8 bytes each, and their discrete
-    log table: codes[i] = sum(c_t * weights[t]) holds the coordinates c_t of
-    index i in Z/moduli[0] + ... + Z/moduli[-1], in a radix where two codes
-    add without carries, and lut maps each sum of two codes to its index
-    (weights[0] = 1), so composition is lut[codes[i] + codes[j]].
+    so keys sort as the forms do), and their discrete log table:
+    codes[i] = sum(c_t * weights[t]) holds the coordinates c_t of index i in
+    Z/moduli[0] + ... + Z/moduli[-1], in a radix where two codes add without
+    carries, and lut maps each sum of two codes to its index (weights[0] =
+    1), so composition is lut[codes[i] + codes[j]].  All three are packed:
+    memoryviews of 4-byte "i" (keys are "q" once span^2 >= 2^31), lut on a
+    writable bytearray.
 
     The prime forms with p <= isqrt(|D| // 3) generate the group (Cohen, GTM
     138, sections 5.3-5.4).  The walk takes them in increasing order, skips
     primes of walked norms, and makes one outside the span S so far the next
     generator g: the cosets S*g, S*g^2, ... are appended, each element one
     `_kernels.compose_prime` step from the one |S| places back, until g^n
-    lands in S.  The first generator's cycle ends early: once g^n's inverse
-    (a, -b, c) is at j, the inverses of the elements at j - 1, ..., 1
-    follow.  A position's mixed-radix digits over the generators' |S| are
-    its exponent vector, and each g^n in S gives a row of a lower-triangular
-    relation matrix R.  With U*R*V = diag(d), e has the coordinates
-    (e*V)_t mod d_t for d_t > 1 (section 2.4).
+    lands in S.  The walk and `position` hold keys, and forms only of the
+    coset being stepped (S is decoded when g starts).  The first
+    generator's cycle ends early: once g^n's inverse (a, -b, c) is at j, the
+    inverses of the elements at j - 1, ..., 1 follow.  A position's
+    mixed-radix digits over the generators' |S| are its exponent vector, and
+    each g^n in S gives a row of a lower-triangular relation matrix R.  With
+    U*R*V = diag(d), e has the coordinates (e*V)_t mod d_t for d_t > 1
+    (section 2.4).
 
     A broken kernel is caught on the way: the principal form must fix each
     generator, no class may be walked twice, and the codes must be h
     distinct points of a group of order prod(moduli) = h."""
     step = _kernels.compose_prime
-    principal = tuple(principal_form(disc))
-    walk, position = [principal], {principal: 0}
-    cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
+    principal = principal_form(disc)
     half = isqrt(-disc // 3)
+    span = 2 * half + 1
+    walk = [principal.a * span + principal.b]  # keys, in walk order
+    position = {walk[0]: 0}
+    cosets, relations = [], []  # (|S|, n_j) and the relation row per generator
     walked = bytearray(half + 1)  # walked[a]: a walked class has norm a
     for p in _walk_primes(half):
         if walked[p]:  # S holds (p, b, c) iff it holds (p, -b, c)
@@ -431,42 +429,51 @@ def _dlog_table(disc: int):
         if f is None:
             continue
         g = _kernels.reduce_form(*f)
-        if g in position:
+        if g[0] * span + g[1] in position:
             continue
         first = step(*principal, g, p)
         if first != g:
             raise InternalInvariantError(f"principal form of disc {disc} moves the class {g}")
         m = len(walk)
         if m == 1:
-            while first not in position:
-                position[first] = len(walk)
-                walk.append(first)
+            while (key := first[0] * span + first[1]) not in position:
+                position[key] = len(walk)
+                walk.append(key)
                 a, b, c = first
-                j = position.get(first if b == a or a == c else (a, -b, c))
+                walked[a] = 1
+                j = position.get(key if b == a or a == c else key - 2 * b)  # (a, -b, c)
                 if j is not None:
-                    for a, b, c in walk[j - 1:0:-1]:  # g^(n+i) = 1 / g^(j-i)
-                        position[a, -b, c] = len(walk)
-                        walk.append((a, -b, c))
+                    for x in walk[j - 1:0:-1]:  # g^(n+i) = 1 / g^(j-i)
+                        x = (x + half) // span * 2 * span - x  # (a, b, c) -> (a, -b, c)
+                        position[x] = len(walk)
+                        walk.append(x)
                     break
                 first = step(a, b, c, g, p)
         else:
-            while first not in position:  # first = g^n starts the next coset
+            coset = []  # S but its first element, decoded from the keys, stepped in place
+            for x in walk[1:]:
+                a, b = divmod(x + half, span)
+                b -= half
+                coset.append((a, b, (b * b - disc) // (4 * a)))
+            while (key := first[0] * span + first[1]) not in position:  # g^n starts a coset
                 n = len(walk)
-                walk.append(first)
-                walk += [step(a, b, c, g, p) for a, b, c in walk[n + 1 - m:n]]
+                walk.append(key)
+                walked[first[0]] = 1
+                for i, (a, b, c) in enumerate(coset):
+                    a, b, c = coset[i] = step(a, b, c, g, p)
+                    walked[a] = 1
+                    walk.append(a * span + b)
                 position.update(zip(walk[n:], range(n, n + m)))
                 first = step(*first, g, p)
-        for x in walk[m:]:
-            walked[x[0]] = 1
-        n, q = len(walk) // m, position[first]  # n e_j = the digits of g^n's position
+            del coset
+        n, q = len(walk) // m, position[key]  # n e_j = the digits of g^n's position
         relations.append([-(q // m_i % n_i) for m_i, n_i in cosets] + [n])
         cosets.append((m, n))
 
     h, k = len(walk), len(relations)
     distinct = len(position) == h
-    span = 2 * half + 1
-    keys = [a * span + b for a, b, _ in walk]
-    del walk, position  # the keys stand for the forms from here on
+    keys = walk  # sorted below
+    del position
     d, v = _diagonalize([r + [0] * (k - len(r)) for r in relations])
     keep = [t for t in range(k) if d[t] > 1]
     moduli = tuple(d[t] for t in keep)
@@ -484,7 +491,7 @@ def _dlog_table(disc: int):
     ranked = sorted(range(h), key=keys.__getitem__)  # walk positions, by form
     codes = [codes[p] for p in ranked]
     keys.sort()
-    lut = [0] * prod(2 * m - 1 for m in moduli)
+    lut = memoryview(bytearray(4 * prod(2 * m - 1 for m in moduli))).cast("i")
     for i, code in enumerate(codes):
         lut[code] = i
     for t, (m, w) in enumerate(zip(moduli, weights)):  # digits [m, 2m - 2] copy [0, m - 2]
@@ -493,7 +500,9 @@ def _dlog_table(disc: int):
             prefixes = [p + s * wu for p in prefixes for s in range(mu)]
         for p in prefixes:
             lut[p + m * w:p + (2 * m - 1) * w] = lut[p:p + (m - 1) * w]
-    return memoryview(struct.pack(f"{h}q", *keys)).cast("q"), (codes, lut, moduli, weights)
+    fmt = "i" if span * span < 2**31 else "q"
+    keys = memoryview(struct.pack(f"{h}{fmt}", *keys)).cast(fmt)
+    return keys, (memoryview(struct.pack(f"{h}i", *codes)).cast("i"), lut, moduli, weights)
 
 
 @lru_cache(maxsize=16)

@@ -63,10 +63,10 @@ def _abelian_structure(h, sylows, mul, pow_fn, identity, order_fn, spans):
     of order h.
 
     `sylows[l]` lists the Sylow l-subgroup's member indices for each prime
-    l | h (class groups read them off their coordinates:
-    `ClassGroup._sylows`); `mul`, `pow_fn`, `order_fn` operate on indices,
-    and `spans(gens)` says whether `gens` generate the whole group (for a
-    class subgroup: their lattice is its lattice).
+    l | h (for a class group, `ClassGroup._sylow(hnf, l)` lists the points
+    of the subgroup's Sylow lattice); `mul`, `pow_fn`, `order_fn` operate on
+    indices, and `spans(gens)` says whether `gens` generate the whole group
+    (for a class subgroup: their lattice is its lattice).
     Works prime by prime: a basis of each Sylow subgroup is found by
     repeatedly taking an element of maximal order in the quotient by the span
     so far and lifting it through its coset to an element of that exact

@@ -294,9 +294,17 @@ SYLOW_DISCS = ACCEPT_DISCS + MIXED_DISCS + (-1000019, -2000003, -8000008, -80000
 
 @pytest.mark.parametrize("disc", SYLOW_DISCS)
 def test_sylow_lists_match_order_filter(disc):
-    # the coordinate Sylow lists of the full group against the order filter
+    # the lattice Sylow lists of the full group and of seeded subgroups
+    # against the order filter
     cg = sc.class_group(disc)
-    assert cg._sylows == sylows_by_order(range(cg.order), cg.order_of_idx)
+    rng = random.Random(disc)
+    subs = [cg.full_subgroup()] + [
+        sc.subgroup_generate(cg, [sc.IdealClass(cg, rng.randrange(cg.order)) for _ in range(k)])
+        for k in (1, 2, 3)
+    ]
+    for s in subs:
+        want = sylows_by_order(s.members, cg.order_of_idx)
+        assert {l: cg._sylow(s.hnf, l) for l in want} == want, s.hnf
 
 
 # -- splitting and prime classes ------------------------------------------------------

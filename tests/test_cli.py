@@ -714,6 +714,49 @@ def test_deep_group_spec_answers_to_the_cap_and_exits_2_past_it(tmp_path, depth,
         assert "MAX_TREE_DEPTH" in proc.stderr or "nested too deeply" in proc.stderr
 
 
+def _spec_with_nodes(n):
+    """JSON text of a balanced direct product with exactly `n` tree nodes:
+    C(3) and C(5) leaves, and one D(3) (a semidirect node over a C(2) leaf)
+    when n is even."""
+    d3 = json.loads((Path(sc.__file__).parent / "examples" / "d3.json").read_text())
+    units = [d3] * (1 - n % 2)
+    units += [{"kind": "abelian", "invariant_factors": [3 + 2 * (i % 2)]}
+              for i in range((n + 1) // 2 - len(units))]
+
+    def balanced(units):
+        if len(units) == 1:
+            return units[0]
+        mid = len(units) // 2
+        return {"kind": "direct", "left": balanced(units[:mid]), "right": balanced(units[mid:])}
+
+    return json.dumps(balanced(units))
+
+
+@pytest.mark.parametrize("nodes, code", [(grouptree.MAX_TREE_NODES, 0), (grouptree.MAX_TREE_NODES + 1, 2)])
+def test_group_spec_answers_to_the_node_cap_and_exits_2_past_it(tmp_path, nodes, code):
+    text = _spec_with_nodes(nodes)
+    if code == 0:
+        grouptree.tree_from_spec(json.loads(text))
+    else:
+        with pytest.raises(sc.InadmissibleError, match="MAX_TREE_NODES"):
+            grouptree.tree_from_spec(json.loads(text))
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinitzcalc.cli", "rt", "--disc", "-84", "--group", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("R_t = Cl(k), index 1")
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: group spec has more than MAX_TREE_NODES = 10000 tree nodes\n"
+        )
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -8,7 +8,7 @@ and builds `lut` by reducing every digit vector through a dict.  Its
 generators are other classes than the walk's, so its coordinates differ;
 the production table must give the same group law, inverses and orders.
 `walk_oracle.composition_walk`, the walk before its step kernel, must give
-the same keys and table bit for bit.  `_kernels.reduced_forms` is the
+the same keys and table value for value.  `_kernels.reduced_forms` is the
 oracle of the walk's forms, and genus theory of its 2-rank.
 """
 
@@ -26,6 +26,7 @@ from steinitzcalc.classgroup import (
     ClassGroup,
     QuadForm,
     _diagonalize,
+    _dlog_table,
     _walk_primes,
     is_fundamental,
 )
@@ -263,11 +264,12 @@ def test_walk_discs_cover_both_kinds_of_walk():
 
 @pytest.mark.parametrize("disc", WALK_DISCS)
 def test_walk_matches_the_composition_walk(disc):
-    # the same order of classes, so keys and table are equal bit for bit
+    # the same order of classes, so keys and table are equal value for value
     cg = ClassGroup(disc)
-    keys, dlog = composition_walk(disc)
-    assert cg._keys.tobytes() == keys.tobytes()
-    assert cg._dlog == dlog
+    keys, (codes, lut, moduli, weights) = composition_walk(disc)
+    assert list(cg._keys) == list(keys)
+    assert list(cg._dlog[0]) == codes and list(cg._dlog[1]) == lut
+    assert cg._dlog[2:] == (moduli, weights)
 
 
 @pytest.mark.parametrize("disc", WALK_DISCS)
@@ -322,8 +324,10 @@ def test_index_of_never_takes_a_key_of_another_class():
 
 
 def test_class_keeps_a_few_dozen_bytes():
-    # retained bytes per class of a cold build at h = 5085: 92 B with a
-    # packed key per class; a QuadForm per class retained 248 B
+    # retained bytes per class of a cold build at h = 5085: 18.6 B with the
+    # keys, codes and table packed 4 bytes an entry; 92 B with a packed
+    # 8-byte key per class and lists of codes and table entries, 248 B with
+    # a QuadForm per class
     gc.collect()
     tracemalloc.start()
     try:
@@ -335,4 +339,50 @@ def test_class_keeps_a_few_dozen_bytes():
     finally:
         tracemalloc.stop()
     assert cg.order == 5085 and "forms" not in vars(cg)
-    assert retained / cg.order < 110, retained / cg.order
+    assert retained / cg.order < 25, retained / cg.order
+
+
+def test_build_peak_stays_near_the_packed_table():
+    # the walk keeps a key per class, not an (a, b, c) tuple: a cold build
+    # at h = 5085 peaks at 1.07 MB traced (1.36 MB with a tuple per class);
+    # the bound is that plus 25%
+    ClassGroup(-84)  # the modules' own first-use allocations happen here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ClassGroup(-9951191)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_340_000, peak
+
+
+@pytest.mark.parametrize("disc", (0, -3, -84, -5460, -9951191))
+def test_tables_are_packed_buffers(disc):
+    # codes and lut hold 4-byte integers; lut is writable (`check` is tested
+    # on a corrupted copy) and codes and keys are read-only; keys are 4-byte
+    # while span^2 < 2^31, which holds up to the cap
+    cg = ClassGroup(disc)
+    codes, lut, _, _ = cg._dlog
+    span = 2 * cg._half + 1
+    assert span * span < 2**31 and cg._keys.format == "i"
+    assert codes.format == lut.format == "i" and codes.itemsize == lut.itemsize == 4
+    assert cg._keys.readonly and codes.readonly and not lut.readonly
+    assert type(lut.obj) is bytearray
+    assert len(codes) == len(cg._keys) == cg.order
+
+
+def test_keys_past_four_bytes_are_packed_as_eight():
+    # span^2 >= 2^31 from |D| of about 1.61e9 on: far past the cap, so the
+    # table is built here without a QuadField
+    disc = -1610612740
+    assert is_fundamental(disc) and -disc > MAX_ABS_DISC
+    span = 2 * isqrt(-disc // 3) + 1
+    assert span * span >= 2**31
+    keys, (codes, lut, moduli, _) = _dlog_table(disc)
+    assert keys.format == "q" and codes.format == lut.format == "i"
+    assert len(keys) == len(codes) == prod(moduli)
+    want_keys, (want_codes, want_lut, _, _) = composition_walk(disc)
+    assert list(keys) == list(want_keys)
+    assert list(codes) == want_codes and list(lut) == want_lut

@@ -150,9 +150,67 @@ def test_structure_raises_without_an_exact_order_lift(monkeypatch):
         cg.structure()
 
 
+@pytest.mark.parametrize("disc, i, j", [(-47, 1, 5), (-84, 1, 2)])
+def test_structure_raises_on_a_corrupt_table(disc, i, j):
+    # two lut entries swapped: no Sylow member has order q modulo the span
+    cg = sc.ClassGroup(disc)
+    lut = cg._dlog[1]
+    lut[i], lut[j] = lut[j], lut[i]
+    with pytest.raises(InternalInvariantError, match="no Sylow member"):
+        cg.structure()
+
+
 def test_structure_raises_when_generators_do_not_span(monkeypatch):
     cg = sc.ClassGroup(-5460)
     lattice = cg._lattice
     monkeypatch.setattr(cg, "_lattice", lambda vectors: lattice(vectors[1:]))
     with pytest.raises(InternalInvariantError, match="do not span"):
         cg.structure()
+
+
+def _seeded_fundamental_discs(n, seed):
+    """n distinct fundamental discriminants, |D| log-uniform in [3, 10^6]."""
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        d = -int(10 ** rng.uniform(0.5, 6))
+        if sc.classgroup.is_fundamental(d) and d not in out:
+            out.append(d)
+    return out
+
+
+def test_full_structure_matches_oracle_at_seeded_fields():
+    # the seeded fields hold both cyclic and non-cyclic Sylow subgroups
+    discs = _seeded_fundamental_discs(200, 33)
+    routes = set()
+    for disc in discs:
+        cg = sc.ClassGroup(disc)
+        full = cg.full_subgroup()
+        assert cg.structure() == _oracle_structure(full), disc
+        for l in _prime_factors(cg.order):
+            routes.add(sum(1 for d in cg.invariant_factors if d % l == 0) > 1)
+    assert routes == {False, True}
+
+
+# Sylow subgroups of rank 2 to 6: 2-rank 4 and 6, 2-rank 2 in C250 x C2, and
+# odd ones: C9 x C3, C20 x C5, C7 x C7, C63 x C3 x C3; and the cyclic
+# ladder fields
+NONCYCLIC_DISCS = (-5460, -2042040, -8000008, -3299, -11199, -63499, -3321607)
+CYCLIC_DISCS = (-9951191, -1000019, -2000003, -8000003)
+
+
+@pytest.mark.parametrize("disc", NONCYCLIC_DISCS + CYCLIC_DISCS)
+def test_subgroup_structures_match_oracle(disc):
+    # seeded subgroups: random generators, and their powers by 2, 3, 4, 6 and 9
+    cg = sc.ClassGroup(disc)
+    rng = random.Random(disc)
+    subs = []
+    for k in (1, 2, 3, 4):
+        s = sc.subgroup_generate(cg, [sc.IdealClass(cg, rng.randrange(cg.order)) for _ in range(k)])
+        subs += [s] + [s.power(e) for e in (2, 3, 4, 6, 9)]
+    ranks = set()
+    for s in subs:
+        assert s.structure() == _oracle_structure(s), s.hnf
+        factors = s.invariant_factors
+        ranks |= {sum(1 for d in factors if d % l == 0) for l in _prime_factors(s.order)}
+    if disc in NONCYCLIC_DISCS:
+        assert max(ranks) >= 2, ranks

@@ -60,7 +60,9 @@ def _cases():
             gt.dihedral_tree(5),
             "Semidirect(h=AbelianGroup(invariant_factors=(3,)), "
             "g=AbelianLeaf(group=AbelianGroup(invariant_factors=(2,))), "
-            f"mu={d3.mu!r})",
+            "mu=Action(h=AbelianGroup(invariant_factors=(3,)), "
+            "g_tree=AbelianLeaf(group=AbelianGroup(invariant_factors=(2,))), "
+            "items=((AbElement(coords=(0,)), ((1,),)), (AbElement(coords=(1,)), ((2,),)))))",
         ),
         "Direct": (
             gt.Direct(gt.leaf(3), gt.leaf(5)),
